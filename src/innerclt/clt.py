@@ -44,16 +44,25 @@ class Tolerances:
                 "abs4": self.abs4, "ks": self.ks}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmpiricalDistribution:
-    samples: tuple
+    """Samples of T_N (a read-only copy) with their provenance."""
+
+    samples: np.ndarray
     N: int
     M: int
     seed: int
     normalization: str  # "main", "tail" or "corollary"
 
+    def __post_init__(self):
+        samples = np.array(self.samples, dtype=complex)
+        if samples.ndim != 1:
+            raise ValueError("samples must form a 1-D sequence")
+        samples.flags.writeable = False
+        object.__setattr__(self, "samples", samples)
+
     def array(self) -> np.ndarray:
-        return np.asarray(self.samples, dtype=complex)
+        return self.samples
 
 
 @dataclass(frozen=True)
@@ -124,7 +133,7 @@ def simulate(f: BlaschkeProduct, a: CoefficientSequence, N: int, M: int,
         raise ValueError(f"unknown mode {mode!r}")
     z = np.exp(1j * uniform_angles(seed, M))
     values = _accumulate(f, a.array(N), z) / scale
-    return EmpiricalDistribution(samples=tuple(values), N=N, M=M, seed=seed,
+    return EmpiricalDistribution(samples=values, N=N, M=M, seed=seed,
                                  normalization=mode)
 
 
@@ -186,6 +195,6 @@ def tails_run(f: BlaschkeProduct, a: CoefficientSequence, N: int, M: int,
     z = np.exp(1j * uniform_angles(seed, M))
     coeffs = a.array()[N - 1:]
     values = _accumulate(f, coeffs, z, start_power=N) / math.sqrt(2.0 * sigma2)
-    dist = EmpiricalDistribution(samples=tuple(values), N=N, M=M, seed=seed,
+    dist = EmpiricalDistribution(samples=values, N=N, M=M, seed=seed,
                                  normalization="tail")
     return gauss_report(dist, tolerances)

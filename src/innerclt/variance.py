@@ -18,27 +18,29 @@ from .errors import NonConvergence, RegimeTooSmall, SandwichViolation
 from .quadrature import circle_grid, degree_aware_grid, integrate
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoefficientSequence:
-    """Complex coefficients a_1, ..., a_L with a generator tag."""
+    """Complex coefficients a_1, ..., a_L (a read-only copy) with a generator tag."""
 
-    values: tuple
+    values: np.ndarray
     tag: str = "explicit"
 
     def __post_init__(self):
-        values = tuple(complex(v) for v in self.values)
-        if not values:
+        values = np.array(self.values, dtype=complex)
+        if values.ndim != 1:
+            raise ValueError("coefficients must form a 1-D sequence")
+        if not values.size:
             raise ValueError("coefficient sequence must be nonempty")
-        if any(not (math.isfinite(v.real) and math.isfinite(v.imag)) for v in values):
+        if not np.all(np.isfinite(values)):
             raise ValueError("coefficients must be finite")
+        values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
     def __len__(self) -> int:
         return len(self.values)
 
     def array(self, N: int | None = None) -> np.ndarray:
-        arr = np.asarray(self.values, dtype=complex)
-        return arr if N is None else arr[:N]
+        return self.values if N is None else self.values[:N]
 
     def s2(self, N: int | None = None) -> float:
         """S_N^2 = sum_{n<=N} |a_n|^2."""
@@ -46,23 +48,42 @@ class CoefficientSequence:
 
     @classmethod
     def ones(cls, n: int) -> "CoefficientSequence":
-        return cls((1.0 + 0j,) * n, tag="constant")
+        return cls(np.ones(n, dtype=complex), tag="constant")
 
     @classmethod
     def explicit(cls, values) -> "CoefficientSequence":
-        return cls(tuple(values), tag="explicit")
+        return cls(values, tag="explicit")
 
     @classmethod
     def random_signs(cls, n: int, seed: int) -> "CoefficientSequence":
         rng = np.random.default_rng(seed)
-        signs = rng.choice([-1.0, 1.0], size=n)
-        return cls(tuple(complex(s) for s in signs), tag=f"random-signs({seed})")
+        return cls(rng.choice([-1.0, 1.0], size=n), tag=f"random-signs({seed})")
 
     @classmethod
     def geometric(cls, r: float, n: int) -> "CoefficientSequence":
         if not 0.0 < abs(r) < 1.0:
             raise ValueError("ratio must satisfy 0 < |r| < 1")
-        return cls(tuple(complex(r) ** k for k in range(1, n + 1)), tag=f"geometric({r})")
+        # Python complex powers, not np.power, whose last bits differ
+        return cls([complex(r) ** k for k in range(1, n + 1)], tag=f"geometric({r})")
+
+
+def _cross_sum(arr: np.ndarray, lam: complex) -> complex:
+    """sum_{n<m} conj(a_n) a_m lam^(m-n) in one pass.
+
+    t_m = sum_{n<m} conj(a_n) lam^(m-n) obeys t_m = lam (t_{m-1} + conj(a_{m-1})).
+    """
+    lam = complex(lam)
+    total = t = prev = 0j
+    for x in arr.tolist():
+        t = lam * (t + prev)
+        total += x * t
+        prev = x.conjugate()
+    return total
+
+
+def _sigma2(arr: np.ndarray, lam: complex) -> float:
+    """Variance S^2 + 2 Re sum_{n<m} conj(a_n) a_m lam^(m-n) of sum a_n f^n."""
+    return float(np.sum(np.abs(arr) ** 2)) + 2.0 * _cross_sum(arr, lam).real
 
 
 def sigma_N_squared(a: CoefficientSequence, lam: complex, N: int) -> float:
@@ -71,13 +92,7 @@ def sigma_N_squared(a: CoefficientSequence, lam: complex, N: int) -> float:
         raise ValueError("need |lambda| < 1")
     if not 1 <= N <= len(a):
         raise ValueError("need 1 <= N <= stored length")
-    arr = a.array(N)
-    total = float(np.sum(np.abs(arr) ** 2))
-    cross = 0.0
-    for k in range(1, N):
-        auto = complex(np.sum(np.conj(arr[:N - k]) * arr[k:]))
-        cross += (lam ** k * auto).real
-    return total + 2.0 * cross
+    return _sigma2(a.array(N), lam)
 
 
 def tail_sigma_squared(a: CoefficientSequence, lam: complex, N: int) -> float:
@@ -86,13 +101,7 @@ def tail_sigma_squared(a: CoefficientSequence, lam: complex, N: int) -> float:
         raise ValueError("need |lambda| < 1")
     if not 1 <= N <= len(a):
         raise ValueError("need 1 <= N <= stored length")
-    arr = a.array()[N - 1:]
-    total = float(np.sum(np.abs(arr) ** 2))
-    cross = 0.0
-    for k in range(1, len(arr)):
-        auto = complex(np.sum(np.conj(arr[:len(arr) - k]) * arr[k:]))
-        cross += (lam ** k * auto).real
-    return total + 2.0 * cross
+    return _sigma2(a.array()[N - 1:], lam)
 
 
 def asymptotic_sigma_squared(lam: complex) -> float:
@@ -162,12 +171,11 @@ def auxiliary_bound_check(a: CoefficientSequence, lam: complex,
     idx = sorted(set(int(n) for n in index_set))
     if not idx or idx[0] < 1 or idx[-1] > len(a):
         raise ValueError("index set must be nonempty within the stored range")
-    vals = np.array([a.values[n - 1] for n in idx])
-    pos = np.array(idx, dtype=float)
-    lhs_sum = 0.0 + 0j
-    for i in range(len(idx)):
-        lhs_sum += np.sum(np.conj(vals[i]) * vals[i + 1:] * lam ** (pos[i + 1:] - pos[i]))
-    lhs = abs(complex(lhs_sum))
+    pos = np.array(idx) - 1
+    vals = a.values[pos]
+    scattered = np.zeros(idx[-1], dtype=complex)
+    scattered[pos] = vals
+    lhs = abs(_cross_sum(scattered, lam))
     bound = abs(lam) / (1.0 - abs(lam)) * float(np.sum(np.abs(vals) ** 2))
     slack = bound - lhs
     return AuxiliaryBoundResult(lhs, bound, lhs <= bound + 1e-12, slack)
@@ -226,7 +234,7 @@ def growth_condition(a: CoefficientSequence, eta: float, n_list) -> ConditionTra
     if not 0.0 < eta < 1.0:
         raise ValueError("need 0 < eta < 1")
     n_values = sorted(int(n) for n in n_list)
-    if n_values[0] < 1 or n_values[-1] > len(a):
+    if not n_values or n_values[0] < 1 or n_values[-1] > len(a):
         raise ValueError("N values must lie within the stored range")
     ratios = []
     for n in n_values:
@@ -240,14 +248,14 @@ def growth_condition(a: CoefficientSequence, eta: float, n_list) -> ConditionTra
 def quasiorthogonality(a: CoefficientSequence, n_list) -> ConditionTrajectory:
     """Trajectory of sup_{1<=k<N} |sum_n conj(a_n) a_{n+k}| / S_N^2."""
     n_values = sorted(int(n) for n in n_list)
-    if n_values[0] < 2 or n_values[-1] > len(a):
+    if not n_values or n_values[0] < 2 or n_values[-1] > len(a):
         raise ValueError("N values must lie in [2, stored length]")
     ratios = []
     for n in n_values:
-        arr = a.array(n)
-        sup = max(abs(complex(np.sum(np.conj(arr[:n - k]) * arr[k:])))
-                  for k in range(1, n))
-        ratios.append(sup / a.s2(n))
+        # zero padding to >= 2n-1 keeps the circular lags 1..n-1 from wrapping
+        spec = np.fft.fft(a.array(n), 1 << (2 * n - 1).bit_length())
+        lags = np.fft.ifft(np.conj(spec) * spec)[1:n]
+        ratios.append(float(np.max(np.abs(lags))) / a.s2(n))
     holds = all(y <= x + 1e-12 for x, y in zip(ratios, ratios[1:])) \
         and ratios[-1] < 0.5 * ratios[0]
     return ConditionTrajectory(tuple(n_values), tuple(ratios), holds)
@@ -272,17 +280,6 @@ class SplitPlan:
     partial_ratio: float
 
 
-def _range_sigma2(a: CoefficientSequence, lam: complex, lo: int, hi: int) -> float:
-    """Variance of the consecutive sub-sum over indices lo+1 .. hi."""
-    arr = a.array()[lo:hi]
-    total = float(np.sum(np.abs(arr) ** 2))
-    cross = 0.0
-    for k in range(1, len(arr)):
-        auto = complex(np.sum(np.conj(arr[:len(arr) - k]) * arr[k:]))
-        cross += (lam ** k * auto).real
-    return total + 2.0 * cross
-
-
 def split_plan(a: CoefficientSequence, N: int, epsilon: float = 0.2,
                eta: float = 0.5, lam: complex = 0.0) -> SplitPlan:
     """Greedy block/gap decomposition of {1..N} by accumulated mass.
@@ -299,33 +296,22 @@ def split_plan(a: CoefficientSequence, N: int, epsilon: float = 0.2,
     if not 1 <= N <= len(a):
         raise ValueError("need 1 <= N <= stored length")
     s_n = math.sqrt(a.s2(N))
+    if s_n == 0.0:
+        raise ValueError("need nonzero coefficient mass up to N")
     p_n = s_n ** (1.0 + epsilon)
     q_n = s_n ** (1.0 - epsilon)
     beta = (eta - epsilon) / (1.0 - epsilon)
     gamma = (eta + epsilon) / (1.0 + epsilon)
     mass = np.abs(a.array(N)) ** 2
 
-    blocks, gaps = [], []
-    pos = 0
-    while True:
-        # next block: shortest stretch reaching p_n
-        acc, end = 0.0, pos
-        while end < N and acc < p_n:
-            acc += mass[end]
-            end += 1
-        if acc < p_n:
-            break
-        blocks.append((pos, end))
-        pos = end
-        # following gap: shortest stretch reaching q_n
-        acc, end = 0.0, pos
-        while end < N and acc < q_n:
-            acc += mass[end]
-            end += 1
-        if acc < q_n:
-            break
-        gaps.append((pos, end))
-        pos = end
+    # blocks alternate with gaps, each the shortest stretch reaching its target
+    stretches, pos, acc = [], 0, 0.0
+    for end, m in enumerate(mass, start=1):
+        acc += m
+        if acc >= (q_n if len(stretches) % 2 else p_n):
+            stretches.append((pos, end))
+            pos, acc = end, 0.0
+    blocks, gaps = stretches[0::2], stretches[1::2]
     if not blocks:
         raise RegimeTooSmall(f"N={N} cannot supply a single block of mass {p_n:.3g}")
     if len(gaps) == len(blocks):
@@ -338,7 +324,8 @@ def split_plan(a: CoefficientSequence, N: int, epsilon: float = 0.2,
     length_ok = all(hi - lo >= p_n ** gamma for lo, hi in blocks) \
         and all(hi - lo >= q_n ** beta for lo, hi in gaps)
 
-    covered = sum(_range_sigma2(a, lam, lo, hi) for lo, hi in blocks + gaps)
+    arr = a.array(N)
+    covered = sum(_sigma2(arr[lo:hi], lam) for lo, hi in blocks + gaps)
     ratio = covered / sigma_N_squared(a, lam, N)
     return SplitPlan(N=N, epsilon=epsilon, eta=eta, p_n=p_n, q_n=q_n,
                      beta=beta, gamma=gamma, xi_blocks=tuple(blocks),

@@ -3,6 +3,7 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from innerclt.cli import coefficients_from_config, main
@@ -19,7 +20,7 @@ class TestCoefficientConfig:
     def test_explicit(self):
         a = coefficients_from_config(
             {"kind": "explicit", "values": [[1.0, 0.0], [0.0, 2.0]]}, 9)
-        assert a.values == (1.0 + 0j, 2.0j)
+        assert np.array_equal(a.values, (1.0 + 0j, 2.0j))
 
     def test_geometric(self):
         a = coefficients_from_config({"kind": "geometric", "ratio": 0.5,
@@ -31,7 +32,7 @@ class TestCoefficientConfig:
                                       "length": 10}, 9)
         b = coefficients_from_config({"kind": "random_signs", "seed": 3,
                                       "length": 10}, 9)
-        assert a.values == b.values
+        assert np.array_equal(a.values, b.values)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):

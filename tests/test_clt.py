@@ -34,11 +34,12 @@ class TestSampleT:
 
     def test_matches_simulate_pipeline(self):
         dist = simulate(DEG2_HALF, ONES, 6, 1000, seed=5)
-        # re-evaluate the first sample point by the scalar path
+        # re-evaluate single sample points, drawn on their own, by the scalar path
         from innerclt.quadrature import uniform_angles
-        theta = float(uniform_angles(5, 1)[0])
-        direct = sample_T(DEG2_HALF, ONES, 6, CirclePoint(theta))
-        assert abs(direct - dist.array()[0]) < 1e-12
+        for i in (0, 1, 123, 500, 999):
+            theta = float(uniform_angles(5, 1, start=i)[0])
+            direct = sample_T(DEG2_HALF, ONES, 6, CirclePoint(theta))
+            assert abs(direct - dist.array()[i]) < 1e-12
 
 
 class TestSimulate:
@@ -102,6 +103,17 @@ class TestGaussReport:
                                      normalization="main")
         rep = gauss_report(dist, Tolerances(0.01, 0.01, 0.01, 0.03, 0.01))
         assert rep.passed, rep
+
+    def test_samples_are_read_only_copy(self):
+        src = np.arange(5, dtype=complex)
+        dist = EmpiricalDistribution(src, N=1, M=5, seed=0, normalization="main")
+        src[0] = 7.0
+        assert np.array_equal(dist.array(), np.arange(5))
+        with pytest.raises(ValueError):
+            dist.array()[0] = 1.0
+        with pytest.raises(ValueError):
+            EmpiricalDistribution(np.zeros((2, 3)), N=1, M=6, seed=0,
+                                  normalization="main")
 
     def test_insufficient_samples(self):
         dist = EmpiricalDistribution((0j,) * 100, N=1, M=100, seed=0,

@@ -16,11 +16,45 @@ from innerclt.variance import (CoefficientSequence, asymptotic_sigma_squared,
                                toeplitz_sandwich, toeplitz_symbol_range)
 
 DEG2_HALF = BlaschkeProduct(zeros=(0.0, 0.5))
+REF_LAMBDAS = [0.0, 0.5, -0.9, 0.7j, 0.99 * np.exp(0.3j)]
+REF_TOL = 1e-12
+
+
+def ref_lag_sums(arr):
+    """sum_n conj(a_n) a_{n+k} for k = 1 .. N-1, one lag at a time."""
+    return [complex(np.sum(np.conj(arr[:len(arr) - k]) * arr[k:]))
+            for k in range(1, len(arr))]
+
+
+def ref_sigma2(arr, lam):
+    """The O(N^2) definition S_N^2 + 2 Re sum_k lam^k sum_n conj(a_n) a_{n+k}."""
+    cross = sum((lam ** k * auto).real
+                for k, auto in enumerate(ref_lag_sums(arr), start=1))
+    return float(np.sum(np.abs(arr) ** 2)) + 2.0 * cross
+
+
+def ref_pair_sum(arr, idx, lam):
+    """|sum_{n<k in idx} conj(a_n) a_k lam^(k-n)|, pair by pair (1-based idx)."""
+    vals = arr[np.array(idx) - 1]
+    pos = np.array(idx)
+    total = 0j
+    for i in range(len(idx)):
+        total += np.sum(np.conj(vals[i]) * vals[i + 1:] * lam ** (pos[i + 1:] - pos[i]))
+    return abs(complex(total))
+
+
+def assert_rel_close(value, ref):
+    assert abs(value - ref) <= REF_TOL * abs(ref), (value, ref)
+
+
+def random_complex(n, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
 
 class TestCoefficientSequence:
     def test_constructors(self):
-        assert CoefficientSequence.ones(5).values == (1.0 + 0j,) * 5
+        assert np.array_equal(CoefficientSequence.ones(5).values, (1.0 + 0j,) * 5)
         geo = CoefficientSequence.geometric(0.5, 3)
         assert np.allclose(geo.array(), [0.5, 0.25, 0.125])
         rs = CoefficientSequence.random_signs(100, 4)
@@ -36,6 +70,65 @@ class TestCoefficientSequence:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             CoefficientSequence(())
+
+    def test_values_are_read_only_copy(self):
+        src = np.array([1.0, 2.0, 3.0])
+        a = CoefficientSequence.explicit(src)
+        src[0] = 9.0
+        assert np.array_equal(a.values, [1.0, 2.0, 3.0])
+        with pytest.raises(ValueError):
+            a.values[0] = 5.0
+        with pytest.raises(ValueError):
+            a.array(2)[1] = 5.0
+
+    def test_rejects_2d(self):
+        with pytest.raises(ValueError):
+            CoefficientSequence.explicit(np.ones((2, 3)))
+
+
+class TestAgainstDoubleSum:
+    """Every variance formula against the O(N^2) lag-sum definition."""
+
+    @pytest.mark.parametrize("lam", REF_LAMBDAS)
+    @pytest.mark.parametrize("n", [1, 2, 50, 500])
+    def test_sigma_and_tail(self, n, lam):
+        vals = random_complex(n, seed=n)
+        a = CoefficientSequence.explicit(vals)
+        assert_rel_close(sigma_N_squared(a, lam, n), ref_sigma2(vals, lam))
+        start = max(1, n // 3)
+        assert_rel_close(tail_sigma_squared(a, lam, start),
+                         ref_sigma2(vals[start - 1:], lam))
+
+    @pytest.mark.parametrize("lam", REF_LAMBDAS)
+    @pytest.mark.parametrize("n", [1, 2, 50, 500])
+    def test_auxiliary_bound(self, n, lam):
+        vals = random_complex(n, seed=n + 1)
+        a = CoefficientSequence.explicit(vals)
+        consecutive = range(1, n + 1)
+        sparse = sorted(np.random.default_rng(n).choice(
+            n, size=max(1, n // 3), replace=False) + 1)
+        for idx in (consecutive, sparse):
+            res = auxiliary_bound_check(a, lam, index_set=idx)
+            assert_rel_close(res.lhs, ref_pair_sum(vals, list(idx), lam))
+
+    @pytest.mark.parametrize("lam", REF_LAMBDAS)
+    @pytest.mark.parametrize("n", [50, 500])  # shorter sequences hold no block
+    def test_split_plan_ratio(self, n, lam):
+        vals = random_complex(n, seed=n + 2)
+        plan = split_plan(CoefficientSequence.explicit(vals), n, lam=lam)
+        covered = sum(ref_sigma2(vals[lo:hi], lam)
+                      for lo, hi in plan.xi_blocks + plan.eta_gaps)
+        assert_rel_close(plan.partial_ratio, covered / ref_sigma2(vals, lam))
+
+    @pytest.mark.parametrize("n", [2, 50, 500])
+    def test_quasiorthogonality(self, n):
+        vals = random_complex(n, seed=n + 3)
+        n_list = sorted({2, max(2, n // 2), n})
+        traj = quasiorthogonality(CoefficientSequence.explicit(vals), n_list)
+        for m, ratio in zip(n_list, traj.ratios):
+            arr = vals[:m]
+            ref = max(abs(x) for x in ref_lag_sums(arr)) / float(np.sum(np.abs(arr) ** 2))
+            assert_rel_close(ratio, ref)
 
 
 class TestSigmaN:
@@ -191,6 +284,13 @@ class TestHypothesisChecks:
         traj = quasiorthogonality(a, [100, 1000])
         assert not traj.holds
 
+    def test_empty_n_list(self):
+        a = CoefficientSequence.ones(10)
+        with pytest.raises(ValueError):
+            growth_condition(a, 0.5, [])
+        with pytest.raises(ValueError):
+            quasiorthogonality(a, [])
+
     def test_quasi_random_signs_holds(self):
         a = CoefficientSequence.random_signs(4000, 13)
         traj = quasiorthogonality(a, [250, 1000, 4000])
@@ -231,6 +331,10 @@ class TestSplitPlan:
         # total mass below S_N^{1+eps} (S_N < 1), so no block can complete
         with pytest.raises(RegimeTooSmall):
             split_plan(CoefficientSequence.geometric(0.5, 3), 3)
+
+    def test_zero_mass_rejected(self):
+        with pytest.raises(ValueError):
+            split_plan(CoefficientSequence.explicit([0.0, 0.0, 0.0]), 3)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
