@@ -58,6 +58,15 @@ def _write_csv(path, header, rows):
         writer.writerows(rows)
 
 
+def _write_samples_csv(path, samples: np.ndarray):
+    """samples.csv in one write: the bytes csv.writer gives for the header
+    ("re", "im") and one (re, im) row per sample."""
+    rows = "".join(f"{r!r},{i!r}\r\n"
+                   for r, i in zip(samples.real.tolist(), samples.imag.tolist()))
+    with open(path, "w", newline="") as fh:
+        fh.write("re,im\r\n" + rows)
+
+
 # -- verify suites ----------------------------------------------------------
 
 
@@ -202,14 +211,10 @@ def run_simulate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     if mode == "tail":
         report = tails_run(f, a, n, m, seed, tolerances=tol)
-        samples = None
     else:
         dist = simulate(f, a, n, m, seed, mode=mode)
         report = gauss_report(dist, tol)
-        samples = dist.array()
-    if samples is not None:
-        _write_csv(out / "samples.csv", ("re", "im"),
-                   zip(samples.real.tolist(), samples.imag.tolist()))
+        _write_samples_csv(out / "samples.csv", dist.array())
     payload = report.to_dict()
     payload["config"] = config
     with open(out / "report.json", "w") as fh:

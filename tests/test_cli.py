@@ -6,7 +6,10 @@ import json
 import numpy as np
 import pytest
 
-from innerclt.cli import coefficients_from_config, main
+from innerclt.blaschke import monomial
+from innerclt.cli import _write_samples_csv, coefficients_from_config, main
+from innerclt.clt import simulate
+from innerclt.variance import CoefficientSequence
 
 MAP_DEG2_HALF = {"zeros": [[0.0, 0.0], [0.5, 0.0]], "rotation": [1.0, 0.0]}
 MAP_Z2 = {"zeros": [[0.0, 0.0], [0.0, 0.0]]}
@@ -103,6 +106,37 @@ class TestSimulateCommand:
         main(["clt", "simulate", "--config", str(cfg), "--out", str(d1)])
         main(["clt", "simulate", "--config", str(cfg), "--out", str(d2)])
         assert (d1 / "samples.csv").read_text() == (d2 / "samples.csv").read_text()
+
+    def test_zero_coefficients_fail_before_writing(self, tmp_path):
+        cfg = self._write_config(tmp_path, coefficients={
+            "kind": "explicit", "values": [[0.0, 0.0]] * 12})
+        out_dir = tmp_path / "zero"
+        with pytest.raises(ValueError, match="identically zero"):
+            main(["clt", "simulate", "--config", str(cfg), "--out", str(out_dir)])
+        assert not (out_dir / "report.json").exists()
+
+
+class TestSamplesCsv:
+    @staticmethod
+    def _csv_writer_bytes(path, samples):
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(("re", "im"))
+            writer.writerows(zip(samples.real.tolist(), samples.imag.tolist()))
+        return path.read_bytes()
+
+    @pytest.mark.parametrize("kind", ["simulate", "edge"])
+    def test_bytes_match_csv_writer(self, tmp_path, kind):
+        if kind == "simulate":
+            samples = simulate(monomial(2), CoefficientSequence.ones(12), 12,
+                               5000, seed=42).array()
+        else:
+            edge = np.array([-0.0, 5e-324, 1e-05, 1e16, 123456789012345.6,
+                             -1.5e-300])
+            samples = edge + 1j * edge[::-1]
+        _write_samples_csv(tmp_path / "fast.csv", samples)
+        assert ((tmp_path / "fast.csv").read_bytes()
+                == self._csv_writer_bytes(tmp_path / "ref.csv", samples))
 
 
 class TestClarkDump:

@@ -1,13 +1,18 @@
 """Sampling of normalized iterate sums and Gaussianity diagnostics."""
 
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import stats
 
+import innerclt
 from innerclt.blaschke import BlaschkeProduct, CirclePoint, monomial
-from innerclt.clt import (EmpiricalDistribution, Tolerances, gauss_report,
-                          sample_T, simulate, tails_run)
+from innerclt.clt import (EmpiricalDistribution, Tolerances, _ks_normal,
+                          gauss_report, sample_T, simulate, tails_run)
 from innerclt.errors import HeavyTruncation, InsufficientSamples
 from innerclt.quadrature import integrate
 from innerclt.variance import CoefficientSequence, sigma_N_squared
@@ -71,6 +76,52 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate(monomial(2), ONES, 8, 2000, seed=0, mode="weird")
 
+    @pytest.mark.parametrize("mode", ["main", "corollary"])
+    def test_zero_coefficients_raise(self, mode):
+        # in main mode sigma_N^2 = 0 would make every sample 0/0 = NaN
+        zero = CoefficientSequence.explicit([0.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="identically zero"):
+            simulate(monomial(2), zero, 3, 2000, seed=0, mode=mode)
+
+
+class TestKsNormal:
+    """_ks_normal against scipy.stats.kstest, bit for bit."""
+
+    @staticmethod
+    def _reference(x, sd=0.5):
+        return stats.kstest(x, "norm", args=(0.0, sd))
+
+    @pytest.mark.parametrize("f,n,m,seed", [(monomial(2), 18, 200_000, 12345),
+                                            (DEG2_HALF, 14, 100_000, 777)])
+    def test_headline_columns(self, f, n, m, seed):
+        x = simulate(f, CoefficientSequence.ones(n), n, m, seed).array()
+        for col in (x.real, x.imag, np.round(x.real, 2)):
+            assert _ks_normal(col, 0.5) == self._reference(col).statistic
+
+    @pytest.mark.parametrize("x", [[0.3], [-0.2, 0.7], [0.1, -1.0, 0.1]])
+    def test_tiny_samples(self, x):
+        x = np.array(x)
+        assert _ks_normal(x, 0.5) == self._reference(x).statistic
+
+    @pytest.mark.parametrize("shift,sign", [(0.3, -1), (-0.3, 1)])
+    def test_each_side_attains_the_maximum(self, shift, sign):
+        # a right shift puts the empirical CDF below the target (D-), a left
+        # shift above it (D+)
+        x = np.random.default_rng(2).normal(shift, 0.5, 5000)
+        ref = self._reference(x)
+        assert ref.statistic_sign == sign
+        assert _ks_normal(x, 0.5) == ref.statistic
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    src = str(Path(innerclt.__file__).resolve().parent.parent)
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import innerclt, innerclt.cli; "
+            "print('scipy.stats' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, src], check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
+
 
 class TestQuadratureInvariants:
     @pytest.mark.parametrize("f,n", [(monomial(2), 4), (monomial(2), 8),
@@ -131,6 +182,12 @@ class TestGaussReport:
         k6 = gauss_report(simulate(monomial(2), ONES, 6, 200_000, seed=12345))
         k18 = gauss_report(simulate(monomial(2), ONES, 18, 200_000, seed=12345))
         assert max(k18.ks_re, k18.ks_im) < max(k6.ks_re, k6.ks_im)
+
+    def test_ks_noise_is_dkw_band(self):
+        rep = gauss_report(simulate(monomial(2), ONES, 18, 200_000, seed=12345))
+        assert rep.ks_noise == math.sqrt(math.log(2.0 / 0.05) / (2.0 * 200_000))
+        assert round(rep.ks_noise, 4) == 0.0030
+        assert rep.to_dict()["ks_noise"] == rep.ks_noise
 
     def test_report_serializes(self):
         rep = gauss_report(simulate(monomial(2), ONES, 8, 20_000, seed=1))
