@@ -56,11 +56,6 @@ class TaylorJet:
     c2: complex
 
 
-def _as_array(w):
-    arr = np.asarray(w, dtype=complex)
-    return arr, arr.ndim == 0
-
-
 @dataclass(frozen=True)
 class BlaschkeProduct:
     """Finite Blaschke product with f(0) = 0.
@@ -88,6 +83,11 @@ class BlaschkeProduct:
             raise ValueError(f"rotation must be unimodular, got |{rotation}| = {abs(rotation)}")
         object.__setattr__(self, "zeros", zeros)
         object.__setattr__(self, "rotation", rotation)
+        nonzero = tuple(a for a in zeros if a != 0)
+        object.__setattr__(self, "_nonzero_zeros", nonzero)
+        object.__setattr__(self, "_origin_multiplicity", len(zeros) - len(nonzero))
+        # (a, conj(a)) per nonzero zero, for the factor (a - z) / (1 - conj(a) z)
+        object.__setattr__(self, "_factors", tuple((a, np.conj(a)) for a in nonzero))
 
     @property
     def degree(self) -> int:
@@ -95,17 +95,21 @@ class BlaschkeProduct:
 
     @property
     def origin_multiplicity(self) -> int:
-        return sum(1 for a in self.zeros if a == 0)
+        return self._origin_multiplicity
 
     @property
     def nonzero_zeros(self) -> tuple:
-        return tuple(a for a in self.zeros if a != 0)
+        return self._nonzero_zeros
 
     @property
     def not_rotation(self) -> bool:
         return self.degree >= 2
 
     # -- evaluation ---------------------------------------------------------
+
+    # Public entry points validate their points; the private _eval, _step and
+    # _derivative do not.  Callers that iterate validate once at entry and
+    # then call _step, whose output is unimodular and so always valid.
 
     def _validate_points(self, w: np.ndarray):
         if not np.all(np.isfinite(w)):
@@ -117,33 +121,45 @@ class BlaschkeProduct:
             if np.any(np.abs(w - pole) < POLE_GUARD):
                 raise ValueError(f"evaluation point too close to pole {pole}")
 
+    def _eval(self, arr: np.ndarray):
+        out = self.rotation * arr ** self._origin_multiplicity
+        for a, conj_a in self._factors:
+            out = out * (a - arr) / (1.0 - conj_a * arr)
+        return complex(out) if arr.ndim == 0 else out
+
+    def _step(self, z):
+        """One boundary step f(z) / |f(z)|, without validation."""
+        out = self._eval(np.asarray(z, dtype=complex))
+        return out / np.abs(out)
+
     def __call__(self, w):
-        arr, scalar = _as_array(w)
+        arr = np.asarray(w, dtype=complex)
         self._validate_points(arr)
-        out = self.rotation * arr ** self.origin_multiplicity
-        for a in self.nonzero_zeros:
-            out = out * (a - arr) / (1.0 - np.conj(a) * arr)
-        return complex(out) if scalar else out
+        return self._eval(arr)
 
     def derivative(self, w):
         """Analytic derivative f'(w), by the product rule over factors."""
-        arr, scalar = _as_array(w)
+        arr = np.asarray(w, dtype=complex)
         self._validate_points(arr)
-        m = self.origin_multiplicity
-        factors = [(a - arr) / (1.0 - np.conj(a) * arr) for a in self.nonzero_zeros]
+        return self._derivative(arr)
+
+    def _derivative(self, w):
+        arr = np.asarray(w, dtype=complex)
+        m = self._origin_multiplicity
+        factors = [(a - arr) / (1.0 - conj_a * arr) for a, conj_a in self._factors]
         prod_all = np.ones_like(arr)
         for b in factors:
             prod_all = prod_all * b
         out = m * arr ** (m - 1) * prod_all
-        for i, a in enumerate(self.nonzero_zeros):
-            db = (abs(a) ** 2 - 1.0) / (1.0 - np.conj(a) * arr) ** 2
+        for i, (a, conj_a) in enumerate(self._factors):
+            db = (abs(a) ** 2 - 1.0) / (1.0 - conj_a * arr) ** 2
             rest = np.ones_like(arr)
             for jdx, b in enumerate(factors):
                 if jdx != i:
                     rest = rest * b
             out = out + arr ** m * db * rest
         out = self.rotation * out
-        return complex(out) if scalar else out
+        return complex(out) if arr.ndim == 0 else out
 
     def taylor_at_zero(self) -> TaylorJet:
         """Closed-form (c1, c2) = (f'(0), f''(0)/2) from the zero data."""
@@ -161,22 +177,25 @@ class BlaschkeProduct:
 
     def boundary_step(self, z):
         """One boundary iteration step, projected back onto the circle."""
-        out = self(z)
-        return out / np.abs(out)
+        arr = np.asarray(z, dtype=complex)
+        self._validate_points(arr)
+        return self._step(arr)
 
     def boundary_orbit(self, z, n: int):
         """f^n on the circle, renormalizing to modulus 1 after each step."""
         cur = np.asarray(z, dtype=complex).copy()
+        self._validate_points(cur)
         for _ in range(n):
-            cur = self.boundary_step(cur)
+            cur = self._step(cur)
         return cur
 
     def boundary_iterates(self, z, n_max: int) -> dict:
         """All f^1 .. f^{n_max} at the given circle points, keyed by n."""
         out = {}
         cur = np.asarray(z, dtype=complex)
+        self._validate_points(cur)
         for n in range(1, n_max + 1):
-            cur = self.boundary_step(cur)
+            cur = self._step(cur)
             out[n] = cur
         return out
 
@@ -239,11 +258,12 @@ def jet_of_iterate(f: BlaschkeProduct, n: int) -> TaylorJet:
 def iterate_derivative_on_circle(f: BlaschkeProduct, z, n: int):
     """(f^n)'(z) on the circle, by the chain rule along the orbit."""
     arr = np.asarray(z, dtype=complex)
+    f._validate_points(arr)
     out = np.ones_like(arr)
     cur = arr
     for _ in range(n):
-        out = out * f.derivative(cur)
-        cur = f.boundary_step(cur)
+        out = out * f._derivative(cur)
+        cur = f._step(cur)
     return out
 
 

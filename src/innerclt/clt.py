@@ -95,12 +95,13 @@ class GaussFitReport:
 def _accumulate(f: BlaschkeProduct, coeffs: np.ndarray, z: np.ndarray,
                 start_power: int = 1) -> np.ndarray:
     """sum_j coeffs[j] f^{start_power + j}(z), one orbit pass."""
+    f._validate_points(z)
     acc = np.zeros_like(z)
     cur = z
     for _ in range(start_power - 1):
-        cur = f.boundary_step(cur)
+        cur = f._step(cur)
     for c in coeffs:
-        cur = f.boundary_step(cur)
+        cur = f._step(cur)
         acc = acc + c * cur
     return acc
 

@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from innerclt import clt
 from innerclt.blaschke import (BlaschkeProduct, CirclePoint, fit_size_bound_exponent,
                                iterate_derivative_on_circle, jet_of_iterate,
                                monomial)
+from innerclt.quadrature import uniform_angles
 
 DEG2_HALF = BlaschkeProduct(zeros=(0.0, 0.5))
 DEG3_MIXED = BlaschkeProduct(zeros=(0.0, 0.3 + 0.4j, -0.2j),
@@ -157,6 +159,99 @@ class TestBoundaryDynamics:
     def test_iteration_cap(self):
         with pytest.raises(ValueError):
             DEG2_HALF.iterate_boundary(CirclePoint(0.0), 100)
+
+
+class TestOrbitKernel:
+    """Iterating callers validate once, then step without validation.
+
+    Their output must equal, bit for bit, a loop of public boundary_step
+    calls, which validate at every step.
+    """
+
+    MAPS = [DEG2_HALF, monomial(3), DEG3_MIXED,
+            BlaschkeProduct(zeros=(0.0, 0.0, 0.6j, -0.5 + 0.1j), rotation=cmath.exp(-1.3j))]
+    STEPS = 7
+
+    @staticmethod
+    def points(size):
+        return np.exp(1j * uniform_angles(2024, size))
+
+    def reference_orbit(self, f, z):
+        orbit = [z]
+        for _ in range(self.STEPS):
+            orbit.append(f.boundary_step(orbit[-1]))
+        return orbit
+
+    @pytest.mark.parametrize("size", [1000, 2 ** 15])
+    @pytest.mark.parametrize("f", MAPS)
+    def test_orbit_and_iterates_match_public_steps(self, f, size):
+        z = self.points(size)
+        ref = self.reference_orbit(f, z)
+        assert np.array_equal(f.boundary_orbit(z, self.STEPS), ref[-1])
+        its = f.boundary_iterates(z, self.STEPS)
+        assert all(np.array_equal(its[n], ref[n]) for n in range(1, self.STEPS + 1))
+
+    @pytest.mark.parametrize("size", [1000, 2 ** 15])
+    @pytest.mark.parametrize("f", MAPS)
+    def test_iterate_derivative_matches_public_steps(self, f, size):
+        z = self.points(size)
+        ref = self.reference_orbit(f, z)
+        expected = np.ones_like(z)
+        for cur in ref[:-1]:
+            expected = expected * f.derivative(cur)
+        assert np.array_equal(iterate_derivative_on_circle(f, z, self.STEPS), expected)
+
+    @pytest.mark.parametrize("size", [1000, 2 ** 15])
+    @pytest.mark.parametrize("f", MAPS)
+    def test_accumulate_matches_public_steps(self, f, size):
+        z = self.points(size)
+        ref = self.reference_orbit(f, z)
+        coeffs = np.array([1.0, -0.5 + 0.25j, 0.3j, 2.0, -1.0])
+        for start in (1, 3):
+            expected = np.zeros_like(z)
+            for c, cur in zip(coeffs, ref[start:]):
+                expected = expected + c * cur
+            assert np.array_equal(clt._accumulate(f, coeffs, z, start_power=start), expected)
+
+    @pytest.mark.parametrize("f", MAPS)
+    def test_scalar_orbit_steps_in_python_complex(self, f):
+        # a 0-d point steps as complex(f(z)) / np.abs(f(z)), Python complex division
+        for z in self.points(20):
+            ref = [complex(z)]
+            for _ in range(self.STEPS):
+                w = complex(f(ref[-1]))
+                ref.append(w / np.abs(w))
+            z = np.asarray(z)
+            assert f.boundary_orbit(z, self.STEPS) == ref[-1]
+            assert f.boundary_iterates(z, self.STEPS)[self.STEPS] == ref[-1]
+            expected = np.ones_like(z)
+            for cur in ref[:-1]:
+                expected = expected * f.derivative(cur)
+            assert iterate_derivative_on_circle(f, z, self.STEPS) == expected
+            coeffs = np.array([1.0, 0.5j])
+            assert clt._accumulate(f, coeffs, z) == ref[1] + coeffs[1] * ref[2]
+
+    NEAR_CIRCLE = BlaschkeProduct(zeros=(0.0, 1.0 - 5e-10))
+    POLE = 1.0 / (1.0 - 5e-10)
+    ENTRY_POINTS = {
+        "call": lambda f, z: f(z),
+        "derivative": lambda f, z: f.derivative(z),
+        "boundary_step": lambda f, z: f.boundary_step(z),
+        "boundary_orbit": lambda f, z: f.boundary_orbit(z, 3),
+        "boundary_iterates": lambda f, z: f.boundary_iterates(z, 3),
+        "iterate_derivative": lambda f, z: iterate_derivative_on_circle(f, z, 3),
+        "accumulate": lambda f, z: clt._accumulate(f, np.ones(3, dtype=complex), z),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("bad, match", [(complex("nan"), "non-finite"),
+                                            (1.0 + 2e-9, "outside the closed disc"),
+                                            (POLE + 1e-13, "too close to pole")])
+    def test_entry_points_reject_bad_points(self, entry, bad, match):
+        # the bad point sits among valid ones, so every point is checked
+        z = np.append(self.points(16), bad)
+        with pytest.raises(ValueError, match=match):
+            self.ENTRY_POINTS[entry](self.NEAR_CIRCLE, z)
 
 
 class TestCirclePoint:

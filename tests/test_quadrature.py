@@ -1,5 +1,6 @@
 """Circle quadrature, counter-based sampling and measure invariance."""
 
+import cmath
 import math
 
 import numpy as np
@@ -12,6 +13,9 @@ from innerclt.errors import NonConvergence
 from innerclt.quadrature import (check_invariance, circle_grid, counter_uniform,
                                  degree_aware_grid, integrate, mc_integrate,
                                  next_power_of_two, uniform_angles)
+
+DEG2_HALF = BlaschkeProduct(zeros=(0.0, 0.5))
+DEG3_MIXED = BlaschkeProduct(zeros=(0.0, 0.3 + 0.4j, -0.2j), rotation=cmath.exp(0.7j))
 
 
 class TestIntegrate:
@@ -49,6 +53,101 @@ class TestIntegrate:
     def test_polynomial_mean_is_constant_term(self, coeffs):
         val = integrate(lambda z: np.polyval(coeffs, z)).value
         assert abs(val - coeffs[-1]) < 1e-9 * max(1.0, max(abs(c) for c in coeffs))
+
+
+def full_grid_integrate(g, tol=1e-12, max_grid=2 ** 18, min_grid=256):
+    """Reference: the doubling loop re-evaluating g on the whole grid per level."""
+    grid = next_power_of_two(max(min_grid, 2))
+    prev = None
+    delta = math.inf
+    while grid <= max_grid:
+        value = complex(np.mean(g(circle_grid(grid))))
+        if prev is not None:
+            delta = abs(value - prev)
+            if delta <= tol:
+                return value, grid
+        prev = value
+        grid *= 2
+    return value, None
+
+
+def recording(g):
+    """g plus the list of arrays it was called with."""
+    seen = []
+
+    def wrapped(z):
+        seen.append(z)
+        return g(z)
+    return wrapped, seen
+
+
+def cusp(z):
+    # square-root cusp, so doubling converges only algebraically
+    return np.sqrt(np.abs(np.angle(z)))
+
+
+def four_factor_integrand(z):
+    its = DEG2_HALF.boundary_iterates(z, 7)
+    return its[2] * np.conj(its[3]) * its[5] * np.conj(its[7])
+
+
+NESTED_CASES = {
+    "monomial": (lambda z: z ** 7, {}),
+    "constant": (lambda z: z ** 0, {}),
+    "lacunary": (lambda z: np.abs(z ** 2 + z ** 4) ** 2, {}),
+    "poisson": (lambda z: (1 - 0.8 ** 2) / np.abs(1 - 0.8 * z) ** 2, {}),
+    "polynomial": (lambda z: np.polyval([2 - 1j, 0.5, 3j, -1.0, 0.25], z), {}),
+    "four_factor": (four_factor_integrand, {"tol": 1e-11, "min_grid": 4096}),
+    "invariance": (lambda z: np.real(DEG3_MIXED.boundary_step(z)) ** 3, {"tol": 1e-13}),
+}
+
+
+class TestNestedDoubling:
+    @pytest.mark.parametrize("case", sorted(NESTED_CASES))
+    def test_matches_full_grid_reference(self, case):
+        g, kwargs = NESTED_CASES[case]
+        ref_value, ref_grid = full_grid_integrate(g, **kwargs)
+        res = integrate(g, **kwargs)
+        assert res.grid_size == ref_grid
+        assert abs(res.value - ref_value) <= 1e-15
+
+    @pytest.mark.parametrize("case", sorted(NESTED_CASES))
+    def test_later_levels_evaluate_only_odd_points(self, case):
+        g, kwargs = NESTED_CASES[case]
+        g, seen = recording(g)
+        res = integrate(g, **kwargs)
+        sizes = [len(z) for z in seen]
+        start = next_power_of_two(kwargs.get("min_grid", 256))
+        assert sizes == [start] + [start << k for k in range(len(sizes) - 1)]
+        assert sum(sizes) == res.grid_size
+        assert np.array_equal(seen[0], circle_grid(start))
+        for k, z in enumerate(seen[1:], start=1):
+            assert np.array_equal(z, circle_grid(start << k)[1::2])
+
+    def test_odd_points_are_full_grid_points_at_large_sizes(self):
+        # the odd half of circle_grid(n) is rebuilt bit for bit at n = 2^17
+        g, seen = recording(cusp)
+        with pytest.raises(NonConvergence):
+            integrate(g, tol=1e-14, min_grid=2 ** 16, max_grid=2 ** 17)
+        assert np.array_equal(seen[-1], circle_grid(2 ** 17)[1::2])
+
+    def test_nonconvergence_reports_max_grid(self):
+        g, seen = recording(cusp)
+        with pytest.raises(NonConvergence) as err:
+            integrate(g, tol=1e-13, max_grid=4096)
+        assert err.value.grid_size == 4096
+        assert sum(len(z) for z in seen) == 4096
+        ref_value, ref_grid = full_grid_integrate(cusp, tol=1e-13, max_grid=4096)
+        assert ref_grid is None
+        assert abs(err.value.value - ref_value) <= 1e-15
+
+    def test_min_grid_above_max_grid_raises(self):
+        with pytest.raises(ValueError, match="min_grid exceeds max_grid"):
+            integrate(lambda z: z, min_grid=2 ** 19)
+
+    def test_invariance_check_below_default_min_grid_raises(self):
+        with pytest.raises(ValueError, match="min_grid exceeds max_grid"):
+            check_invariance(monomial(2), lambda z: np.real(z) ** 2, max_grid=128)
 
 
 class TestGridHelpers:
