@@ -161,6 +161,16 @@ class BlaschkeProduct:
         out = self.rotation * out
         return complex(out) if arr.ndim == 0 else out
 
+    def _circle_speed(self, z):
+        """|f'(z)| for |z| = 1, as the Poisson sum m + sum (1 - |a|^2) / |z - a|^2.
+
+        This is also d/dtheta arg f(e^{i theta}), the speed of the boundary map.
+        """
+        out = np.full(np.shape(z), float(self._origin_multiplicity))
+        for a, _ in self._factors:
+            out = out + (1.0 - abs(a) ** 2) / np.abs(z - a) ** 2
+        return out
+
     def taylor_at_zero(self) -> TaylorJet:
         """Closed-form (c1, c2) = (f'(0), f''(0)/2) from the zero data."""
         m = self.origin_multiplicity

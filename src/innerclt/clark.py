@@ -2,25 +2,23 @@
 
 For a finite Blaschke product f with f(0) = 0 and alpha on the circle, the
 measure mu_alpha is purely atomic: its atoms are the deg(f) boundary
-solutions of f(zeta) = alpha, each carrying weight 1 / |f'(zeta)|.  Atoms
-are located by unwrapping the strictly increasing boundary phase on a
-coarse grid and bisecting each branch.
+solutions of f(zeta) = alpha, each carrying weight 1 / |f'(zeta)|.  The
+atoms of f^n are found by pulling alpha back n times through the d inverse
+branches of f, each level an algebraic root solve on the circle.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .blaschke import TWO_PI, BlaschkeProduct, CirclePoint, jet_of_iterate, \
-    iterate_derivative_on_circle
+from .blaschke import TWO_PI, BlaschkeProduct, CirclePoint, jet_of_iterate
 from .errors import BudgetExceeded, NonConvergence, RootBracketFailure
-from .quadrature import circle_grid, degree_aware_grid, integrate, next_power_of_two
+from .quadrature import degree_aware_grid, integrate
 
 ATOM_COUNT_CAP = 4096
-ANGLE_TOL = 1e-13
+NEWTON_STEPS = 3
 WEIGHT_SUM_TOL = 1e-10
 
 
@@ -74,13 +72,17 @@ class MomentBoundCheck:
 
 
 class BoundaryAtomSolver:
-    """Caches the unwrapped boundary phase of f^n and solves f^n(zeta) = alpha.
+    """Solves f^n(zeta) = alpha by pulling alpha back through the inverse branches of f.
 
-    The lifted phase increases by 2 pi deg(f)^n over one turn, so each of
-    the deg(f)^n branches is bracketed on the grid and bisected.
+    For |beta| = 1 the d solutions of f(zeta) = beta are the roots of the
+    degree-d polynomial rot z^m prod (a_i - z) - beta prod (1 - conj(a_i) z),
+    and all of them lie on the circle.  Each of the n levels finds the roots
+    for every point of the previous level at once, as eigenvalues of a stack
+    of companion matrices, and polishes their angles by Newton steps.  The
+    weight 1 / |(f^n)'| is the product of 1 / |f'| along each branch.
     """
 
-    def __init__(self, f: BlaschkeProduct, power: int = 1, grid_factor: int = 16):
+    def __init__(self, f: BlaschkeProduct, power: int = 1):
         if power < 1:
             raise ValueError("power must be >= 1")
         self.f = f
@@ -89,60 +91,44 @@ class BoundaryAtomSolver:
         if self.total_degree > ATOM_COUNT_CAP:
             raise BudgetExceeded(
                 f"degree {f.degree}^{power} = {self.total_degree} exceeds atom cap {ATOM_COUNT_CAP}")
-        grid_size = max(4096, next_power_of_two(grid_factor * self.total_degree))
-        while True:
-            if self._try_build(grid_size):
-                return
-            if grid_size >= 2 ** 18:
-                raise RootBracketFailure(
-                    f"boundary phase not monotone on grid {grid_size}")
-            grid_size *= 2
+        num, den = np.ones(1, dtype=complex), np.ones(1, dtype=complex)
+        for a in f.nonzero_zeros:
+            num = np.convolve(num, [1.0, -a])
+            den = np.convolve(den, [-np.conj(a), 1.0])
+        # divided by its leading coefficient rot (-1)^k, the polynomial is
+        # z^d + sum_j (num_j - beta den_j) z^j, coefficients highest first
+        lead = f.rotation * (-1) ** len(f.nonzero_zeros)
+        self._num = np.append(num, np.zeros(f.origin_multiplicity))[1:]
+        self._den = np.append(np.zeros(f.degree - den.size), den) / lead
 
-    def _try_build(self, grid_size: int) -> bool:
-        thetas = TWO_PI * np.arange(grid_size) / grid_size
-        vals = self.f.boundary_orbit(np.exp(1j * thetas), self.power)
-        phases = np.unwrap(np.angle(vals))
-        wrap_increment = (phases[0] + TWO_PI * self.total_degree) - phases[-1]
-        increments = np.append(np.diff(phases), wrap_increment)
-        # per-cell swing must stay below pi/2 so bracketing and the relative
-        # phase used by the bisection cannot wrap
-        if np.any(increments <= 0) or np.max(increments) > 0.5 * math.pi:
-            return False
-        self.grid_size = grid_size
-        self.grid_thetas = np.append(thetas, TWO_PI)
-        self.phases = np.append(phases, phases[0] + TWO_PI * self.total_degree)
-        return True
-
-    def _orbit_value(self, theta: np.ndarray) -> np.ndarray:
-        return self.f.boundary_orbit(np.exp(1j * theta), self.power)
+    def _pullback(self, alpha_thetas) -> tuple:
+        """Angles in [0, 2 pi) and weights of the atoms, one row per alpha."""
+        f, d = self.f, self.f.degree
+        theta = np.asarray(alpha_thetas, dtype=float).reshape(-1, 1)
+        weights = np.ones_like(theta)
+        for _ in range(self.power):
+            beta = np.exp(1j * theta)[..., None]
+            companion = np.zeros(beta.shape[:-1] + (d, d), dtype=complex)
+            companion[..., 0, :] = beta * self._den - self._num
+            companion[..., 1:, :-1] = np.eye(d - 1)
+            child = np.angle(np.linalg.eigvals(companion))
+            # d/dtheta arg f(e^{i theta}) = |f'(e^{i theta})| on the circle
+            for _ in range(NEWTON_STEPS):
+                z = np.exp(1j * child)
+                child = child - np.angle(f._eval(z) * np.conj(beta)) / f._circle_speed(z)
+            theta = child.reshape(len(theta), -1)
+            weights = (weights[..., None] / f._circle_speed(np.exp(1j * child))).reshape(theta.shape)
+        return theta % TWO_PI, weights
 
     def atom_angles(self, alpha_theta: float) -> np.ndarray:
         """All solutions theta of f^n(e^{i theta}) = e^{i alpha_theta}."""
-        d = self.total_degree
-        base = self.phases[0]
-        offset = (alpha_theta - base) % TWO_PI
-        levels = base + offset + TWO_PI * np.arange(d)
-        hi_idx = np.searchsorted(self.phases, levels)
-        hi_idx = np.clip(hi_idx, 1, self.grid_size)
-        lo = self.grid_thetas[hi_idx - 1].copy()
-        hi = self.grid_thetas[hi_idx].copy()
-        # per-cell phase swing < pi, so the relative phase has no wraparound
-        targets = np.exp(1j * levels)
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            u = np.angle(self._orbit_value(mid) * np.conj(targets))
-            below = u < 0
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-            if np.max(hi - lo) < ANGLE_TOL:
-                break
-        return (0.5 * (lo + hi)) % TWO_PI
+        return self.atoms(alpha_theta)[0]
 
     def atoms(self, alpha_theta: float):
-        angles = self.atom_angles(alpha_theta)
-        deriv = iterate_derivative_on_circle(self.f, np.exp(1j * angles), self.power)
-        weights = 1.0 / np.abs(deriv)
-        return angles, weights
+        """Atom angles in ascending order and their weights 1 / |(f^n)'|."""
+        theta, weights = self._pullback([alpha_theta])
+        order = np.argsort(theta[0])
+        return theta[0, order], weights[0, order]
 
 
 def clark_measure(f: BlaschkeProduct, alpha: CirclePoint, power: int = 1) -> ClarkMeasure:
@@ -182,12 +168,10 @@ def desintegrate(f: BlaschkeProduct, observable, k_alpha: int = 512, power: int 
     """
     if k_alpha < 64:
         raise ValueError("k_alpha must be >= 64")
-    solver = BoundaryAtomSolver(f, power)
     alphas = TWO_PI * np.arange(k_alpha) / k_alpha
-    inner = np.empty(k_alpha, dtype=complex)
-    for i, at in enumerate(alphas):
-        angles, weights = solver.atoms(at)
-        inner[i] = np.sum(weights * observable(np.exp(1j * angles)))
+    angles, weights = BoundaryAtomSolver(f, power)._pullback(alphas)
+    values = np.asarray(observable(np.exp(1j * angles.ravel()))).reshape(angles.shape)
+    inner = np.sum(weights * values, axis=1)
     double = complex(np.mean(inner))
     direct = integrate(observable, tol=1e-13).value
     return double, abs(double - direct)

@@ -20,7 +20,7 @@ class BudgetExceeded(ValueError):
 
 
 class RootBracketFailure(RuntimeError):
-    """Phase unwrapping on the boundary grid failed monotonicity."""
+    """Clark atom weights failed to sum to 1, so the atom solve is suspect."""
 
 
 class SeparationViolation(ValueError):

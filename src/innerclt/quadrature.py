@@ -89,8 +89,8 @@ def integrate(g, tol: float = 1e-12, max_grid: int = DEFAULT_MAX_GRID,
         if delta <= tol:
             return QuadratureResult(value, grid, delta)
     raise NonConvergence(
-        f"quadrature did not reach tol={tol} at grid {max_grid} (delta={delta:.3e})",
-        value=value, est_error=delta, grid_size=max_grid,
+        f"quadrature did not reach tol={tol} at grid {grid} (delta={delta:.3e})",
+        value=value, est_error=delta, grid_size=grid,
     )
 
 

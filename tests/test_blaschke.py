@@ -127,6 +127,14 @@ class TestDerivativeAndJet:
         assert abs(jet.c1 - c1) < 1e-10
         assert abs(jet.c2 - c2) < 1e-10
 
+    @pytest.mark.parametrize("f", [monomial(2), DEG2_HALF, DEG3_MIXED,
+                                   BlaschkeProduct(zeros=(0.0, 0.0, 0.4 + 0.3j),
+                                                   rotation=cmath.exp(1.1j))])
+    def test_circle_speed_is_poisson_sum_of_derivative(self, f):
+        z = np.exp(1j * uniform_angles(5, 1000))
+        expected = np.abs(f.derivative(z))
+        assert np.all(np.abs(f._circle_speed(z) - expected) <= 1e-13 * expected)
+
     def test_iterate_derivative_chain_rule(self):
         f = DEG2_HALF
         h = 1e-6

@@ -141,6 +141,13 @@ class TestNestedDoubling:
         assert ref_grid is None
         assert abs(err.value.value - ref_value) <= 1e-15
 
+    def test_nonconvergence_reports_last_level_below_max_grid(self):
+        g, seen = recording(lambda z: np.sqrt(np.abs(z - 1)))
+        with pytest.raises(NonConvergence) as err:
+            integrate(g, max_grid=1000)
+        assert err.value.grid_size == 512
+        assert sum(len(z) for z in seen) == 512
+
     def test_min_grid_above_max_grid_raises(self):
         with pytest.raises(ValueError, match="min_grid exceeds max_grid"):
             integrate(lambda z: z, min_grid=2 ** 19)
