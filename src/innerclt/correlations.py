@@ -4,6 +4,10 @@ Covers the pair identity int conj(f^k) f^j dm = f'(0)^{j-k}, factorization
 of products of squared-modulus block sums over separated index blocks, the
 four-factor integrals with their cancellation/exactness cases, higher-order
 correlations, and the gap-weighted decay exponent with its delta bookkeeping.
+
+f(0) = 0 makes Lebesgue measure m f-invariant, so every integral is taken on
+shifted indices, int prod (f^{n_j})^{+-} dm = int prod (f^{n_j - n_1})^{+-} dm
+with f^0 = z: its grid and budget are set by the spread n_k - n_1, not n_k.
 """
 
 from __future__ import annotations
@@ -121,8 +125,9 @@ class DecayCheck:
     rows: tuple  # (k, q, phi, abs_value, bound_at_c1, within)
 
 
-def _check_budget(f: BlaschkeProduct, powers, extra_degree: int = 0) -> int:
-    total = sum(f.degree ** n for n in powers) + extra_degree
+def _check_budget(f: BlaschkeProduct, powers) -> int:
+    """Starting grid for an integrand of the given (shifted) powers."""
+    total = sum(f.degree ** n for n in powers)
     grid = degree_aware_grid(total)
     if 8 * total > GRID_CAP:
         raise BudgetExceeded(
@@ -130,17 +135,25 @@ def _check_budget(f: BlaschkeProduct, powers, extra_degree: int = 0) -> int:
     return grid
 
 
-def _signed_product(f: BlaschkeProduct, signs, powers):
-    n_max = max(powers)
+def _iterates(f: BlaschkeProduct, z, n_max: int) -> dict:
+    """f^0 = z, f^1, ..., f^{n_max} at the given circle points, keyed by n."""
+    return {0: z, **f.boundary_iterates(z, n_max)}
+
+
+def _signed_integral(f: BlaschkeProduct, signs, powers, tol: float) -> complex:
+    """int prod (f^{n_j})^{+-} dm, evaluated as int prod (f^{n_j - n_1})^{+-} dm."""
+    base = min(powers)
+    powers = tuple(n - base for n in powers)
+    grid = _check_budget(f, powers)
 
     def g(z):
-        its = f.boundary_iterates(z, n_max)
+        its = _iterates(f, z, max(powers))
         out = np.ones_like(z)
         for s, n in zip(signs, powers):
             out = out * (its[n] if s > 0 else np.conj(its[n]))
         return out
 
-    return g
+    return integrate(g, tol=tol, min_grid=grid).value
 
 
 def pair_correlation(f: BlaschkeProduct, k: int, j: int,
@@ -148,9 +161,7 @@ def pair_correlation(f: BlaschkeProduct, k: int, j: int,
     """Quadrature check of int conj(f^k) f^j dm = f'(0)^{j-k}."""
     if not 1 <= k < j:
         raise ValueError("need 1 <= k < j")
-    grid = _check_budget(f, (k, j))
-    value = integrate(_signed_product(f, (-1, 1), (k, j)),
-                      tol=tol, min_grid=grid).value
+    value = _signed_integral(f, (-1, 1), (k, j), tol)
     target = f.taylor_at_zero().c1 ** (j - k)
     return PairCorrelation(value, target, abs(value - target))
 
@@ -175,33 +186,32 @@ def block_product_factorization(f: BlaschkeProduct, blocks,
         if max(left.block) >= min(right.block):
             raise SeparationViolation(
                 f"blocks {left.block} and {right.block} are not separated")
-    all_powers = [n for b in blocks for n in b.block]
-    grid = _check_budget(f, all_powers, extra_degree=sum(
-        f.degree ** max(b.block) for b in blocks))
-    n_max = max(all_powers)
+    # the lhs is shifted by the smallest power, each rhs factor by its block's
+    def abs2(b, its, base):
+        xi = np.zeros_like(its[0])
+        for n, c in zip(b.block, b.coefficients):
+            xi = xi + c * its[n - base]
+        return np.abs(xi) ** 2
+
+    base = min(blocks[0].block)
+    powers = [n - base for b in blocks for n in b.block]
+    grid = _check_budget(f, powers + [max(b.block) - base for b in blocks])
 
     def product_integrand(z):
-        its = f.boundary_iterates(z, n_max)
+        its = _iterates(f, z, max(powers))
         out = np.ones_like(z, dtype=float)
         for b in blocks:
-            xi = np.zeros_like(z)
-            for n, c in zip(b.block, b.coefficients):
-                xi = xi + c * its[n]
-            out = out * np.abs(xi) ** 2
+            out = out * abs2(b, its, base)
         return out
 
     lhs = integrate(product_integrand, tol=tol, min_grid=grid).value
-
     rhs = 1.0 + 0j
     for b in blocks:
-        def single(z, b=b):
-            its = f.boundary_iterates(z, max(b.block))
-            xi = np.zeros_like(z)
-            for n, c in zip(b.block, b.coefficients):
-                xi = xi + c * its[n]
-            return np.abs(xi) ** 2
-        rhs *= integrate(single, tol=tol,
-                         min_grid=degree_aware_grid(2 * f.degree ** max(b.block))).value
+        low = min(b.block)
+        spread = max(b.block) - low
+        rhs *= integrate(lambda z, b=b, low=low, spread=spread:
+                         abs2(b, _iterates(f, z, spread), low),
+                         tol=tol, min_grid=degree_aware_grid(2 * f.degree ** spread)).value
     return FactorizationResult(lhs, rhs, abs(lhs - rhs))
 
 
@@ -223,9 +233,7 @@ def four_factor(f: BlaschkeProduct, signs, indices,
 
     a = abs(f.taylor_at_zero().c1)
     distinct = sorted(set(indices))
-    grid = _check_budget(f, indices)
-    value = integrate(_signed_product(f, signs, indices),
-                      tol=tol, min_grid=grid).value
+    value = _signed_integral(f, signs, indices, tol)
 
     if len(distinct) == 4:
         n1, n2, n3, n4 = indices
@@ -253,9 +261,7 @@ def four_factor(f: BlaschkeProduct, signs, indices,
 def higher_correlation(f: BlaschkeProduct, spec: CorrelationSpec,
                        tol: float = 5e-8) -> complex:
     """Quadrature value of int prod_j f^{eps_j n_j} dm."""
-    grid = _check_budget(f, spec.indices)
-    return integrate(_signed_product(f, spec.signs, spec.indices),
-                     tol=tol, min_grid=grid).value
+    return _signed_integral(f, spec.signs, spec.indices, tol)
 
 
 # -- delta bookkeeping for the decay exponent -------------------------------

@@ -182,20 +182,21 @@ def auxiliary_bound_check(a: CoefficientSequence, lam: complex,
 
 
 def _partial_sum_integrand(f, a: CoefficientSequence, N: int):
+    """sum a_n f^{n-1}: by f-invariance of m, it has the norms of sum a_n f^n."""
     coeffs = a.array(N)
 
     def g(z):
-        its = f.boundary_iterates(z, N)
+        its = {0: z, **f.boundary_iterates(z, N - 1)}
         out = np.zeros_like(z)
         for n in range(1, N + 1):
-            out = out + coeffs[n - 1] * its[n]
+            out = out + coeffs[n - 1] * its[n - 1]
         return out
 
     return g
 
 
 def _partial_sum_grid(f, N: int) -> int:
-    return degree_aware_grid(4 * f.degree ** N)
+    return degree_aware_grid(4 * f.degree ** (N - 1))
 
 
 def l2_identity_check(f, a: CoefficientSequence, N: int, tol: float = 1e-11) -> float:

@@ -1,6 +1,7 @@
 """Correlation integrals: pair identity, factorization, four-factor shapes,
 higher-order decay and the gap-weighted exponent."""
 
+import itertools
 import math
 
 import numpy as np
@@ -15,10 +16,75 @@ from innerclt.correlations import (BlockSum, CorrelationSpec,
                                    iterate_pair_integral, pair_correlation,
                                    phi_exponent)
 from innerclt.errors import BudgetExceeded, SeparationViolation, ShapeMismatch
-from innerclt.quadrature import integrate
+from innerclt.quadrature import degree_aware_grid, integrate
 
 DEG2_HALF = BlaschkeProduct(zeros=(0.0, 0.5))
 DEG2_COMPLEX = BlaschkeProduct(zeros=(0.0, 0.3 + 0.3j))
+PARITY_TOL = 1e-14
+
+
+def direct_signed_integral(f, signs, powers, tol):
+    """Reference: the earlier unshifted evaluation, frozen as it was.
+
+    Integrates prod (f^{n_j})^{+-} itself, on a starting grid sized from
+    the total degree sum d^{n_j}.
+    """
+    n_max = max(powers)
+
+    def g(z):
+        its = f.boundary_iterates(z, n_max)
+        out = np.ones_like(z)
+        for s, n in zip(signs, powers):
+            out = out * (its[n] if s > 0 else np.conj(its[n]))
+        return out
+
+    grid = degree_aware_grid(sum(f.degree ** n for n in powers))
+    return integrate(g, tol=tol, min_grid=grid).value
+
+
+def direct_factorization(f, blocks, tol=1e-11):
+    """Reference: the earlier unshifted (lhs, rhs) of the factorization."""
+    all_powers = [n for b in blocks for n in b.block]
+    n_max = max(all_powers)
+
+    def xi(its, b):
+        out = 0j
+        for n, c in zip(b.block, b.coefficients):
+            out = out + c * its[n]
+        return out
+
+    def product_integrand(z):
+        its = f.boundary_iterates(z, n_max)
+        out = np.ones_like(z, dtype=float)
+        for b in blocks:
+            out = out * np.abs(xi(its, b)) ** 2
+        return out
+
+    grid = degree_aware_grid(sum(f.degree ** n for n in all_powers)
+                             + sum(f.degree ** max(b.block) for b in blocks))
+    lhs = integrate(product_integrand, tol=tol, min_grid=grid).value
+    rhs = 1.0 + 0j
+    for b in blocks:
+        rhs *= integrate(
+            lambda z, b=b: np.abs(xi(f.boundary_iterates(z, max(b.block)), b)) ** 2,
+            tol=tol, min_grid=degree_aware_grid(2 * f.degree ** max(b.block))).value
+    return lhs, rhs
+
+
+def criterion_4_blocks():
+    """The random block families of acceptance criterion 4 (seed 44)."""
+    rng = np.random.default_rng(44)
+    families = []
+    for trial in range(20):
+        blocks, start = [], 1
+        for _ in range(2 + trial % 2):
+            size = int(rng.integers(1, 3))
+            idx = tuple(range(start, start + size))
+            coeffs = tuple(rng.standard_normal(size) + 1j * rng.standard_normal(size))
+            blocks.append(BlockSum(idx, coeffs))
+            start += size + int(rng.integers(0, 2))
+        families.append(blocks)
+    return families
 
 
 class TestCorrelationSpec:
@@ -172,6 +238,82 @@ class TestHigherCorrelation:
     def test_budget_guard(self):
         with pytest.raises(BudgetExceeded):
             higher_correlation(DEG2_HALF, CorrelationSpec((1, -1), (1, 30)))
+
+
+class TestShiftParity:
+    """The invariance-shifted integrals agree with the direct ones."""
+
+    def test_criterion_5_quadruples_up_to_eight(self):
+        rng = np.random.default_rng(55)
+        for _ in range(50):
+            n = tuple(int(v) for v in
+                      np.sort(rng.choice(np.arange(1, 9), size=4, replace=False)))
+            e1, e3 = int(rng.choice([-1, 1])), int(rng.choice([-1, 1]))
+            signs = (e1, -e1, e3, e3)
+            res = four_factor(DEG2_HALF, signs, n)
+            ref = direct_signed_integral(DEG2_HALF, signs, n, 1e-11)
+            assert abs(res.value - ref) <= PARITY_TOL, (signs, n)
+        for n in itertools.combinations(range(1, 9), 4):
+            res = four_factor(DEG2_HALF, (1, -1, 1, -1), n)
+            ref = direct_signed_integral(DEG2_HALF, (1, -1, 1, -1), n, 1e-11)
+            assert abs(res.value - ref) <= PARITY_TOL, n
+
+    @pytest.mark.parametrize("signs,indices", [
+        ((1, -1, 1, 1), (4, 5, 7, 10)), ((1, -1, 1, -1), (4, 5, 7, 10)),
+        ((1, -1, 1, -1), (4, 6, 8, 10)), ((-1, 1, -1, -1), (1, 3, 5, 9))])
+    def test_heaviest_benchmark_shapes(self, signs, indices):
+        res = four_factor(DEG2_HALF, signs, indices)
+        ref = direct_signed_integral(DEG2_HALF, signs, indices, 1e-11)
+        assert abs(res.value - ref) <= PARITY_TOL
+
+    @pytest.mark.parametrize("f", [monomial(2), monomial(3), DEG2_HALF],
+                             ids=["z2", "z3", "deg2-half"])
+    def test_pairs(self, f):
+        for k in range(1, 6):
+            for j in range(k + 1, 7):
+                value = pair_correlation(f, k, j).value
+                ref = direct_signed_integral(f, (-1, 1), (k, j), 1e-12)
+                assert abs(value - ref) <= PARITY_TOL, (k, j)
+
+    def test_criterion_4_blocks(self):
+        # lhs reaches a few hundred, where one ulp is 6e-14, so the bound
+        # is relative to the value's size
+        for blocks in criterion_4_blocks():
+            res = block_product_factorization(DEG2_HALF, blocks)
+            ref_lhs, ref_rhs = direct_factorization(DEG2_HALF, blocks)
+            assert abs(res.lhs - ref_lhs) <= PARITY_TOL * max(1.0, abs(ref_lhs))
+            assert abs(res.rhs - ref_rhs) <= PARITY_TOL * max(1.0, abs(ref_rhs))
+
+
+class TestShiftReach:
+    """Integrals the shift brings within budget and within convergence."""
+
+    def test_far_alternating_quadruple(self):
+        # the direct integrand has degree 2^46 and exceeds the budget
+        res = four_factor(DEG2_HALF, (1, -1, 1, -1), (40, 41, 45, 46))
+        assert res.shape == "IV"
+        assert res.residual <= 1e-8
+
+    @pytest.mark.parametrize("zero", [0.999, 0.999 * np.exp(1j)],
+                             ids=["real", "rotated"])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_adjacent_pairs_near_the_circle(self, zero, k):
+        # the direct path raised NonConvergence at (2, 3), (3, 4), (4, 5)
+        pc = pair_correlation(BlaschkeProduct(zeros=(0.0, zero)), k, k + 1)
+        assert pc.residual <= 1e-9
+
+    def test_criterion_6_alternating_residuals(self):
+        for k in range(2, 7):
+            spec = CorrelationSpec(tuple((-1) ** j for j in range(k)),
+                                   tuple(range(1, 2 * k, 2)))
+            rep = phi_exponent(spec)
+            target = 0.0 if rep.exact_zero else 0.5 ** rep.phi
+            assert abs(abs(higher_correlation(DEG2_HALF, spec)) - target) <= 1e-14, k
+
+    def test_budget_set_by_spread(self):
+        assert pair_correlation(DEG2_HALF, 30, 31).residual <= 1e-9
+        with pytest.raises(BudgetExceeded):
+            pair_correlation(DEG2_HALF, 2, 31)
 
 
 class TestPhiExponent:
