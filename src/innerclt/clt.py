@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .blaschke import BlaschkeProduct, CirclePoint
 from .errors import HeavyTruncation, InsufficientSamples
@@ -148,8 +147,11 @@ def _ks_normal(x: np.ndarray, sd: float) -> float:
     """Two-sided KS distance of the samples x from N(0, sd^2).
 
     The same arithmetic as scipy.stats.kstest(x, "norm", args=(0, sd))
-    before its p-value, so the statistic agrees bit for bit.
+    before its p-value, so the statistic agrees bit for bit.  scipy is
+    imported here, so importing innerclt loads numpy only.
     """
+    from scipy.special import ndtr
+
     cdf = ndtr(np.sort(x) / sd)
     n = len(cdf)
     d_plus = np.max(np.arange(1.0, n + 1) / n - cdf)

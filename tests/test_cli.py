@@ -2,10 +2,13 @@
 
 import csv
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from innerclt import cli
 from innerclt.blaschke import monomial
 from innerclt.cli import _write_samples_csv, coefficients_from_config, main
 from innerclt.clt import simulate
@@ -115,8 +118,44 @@ class TestSimulateCommand:
             main(["clt", "simulate", "--config", str(cfg), "--out", str(out_dir)])
         assert not (out_dir / "report.json").exists()
 
+    def test_tail_run_removes_stale_samples(self, tmp_path):
+        out_dir = tmp_path / "out"
+        main(["clt", "simulate", "--config", str(self._write_config(tmp_path)),
+              "--out", str(out_dir)])
+        assert (out_dir / "samples.csv").exists()
+        cfg = self._write_config(
+            tmp_path, mode="tail", N=5,
+            coefficients={"kind": "geometric", "ratio": 0.5, "length": 24})
+        main(["clt", "simulate", "--config", str(cfg), "--out", str(out_dir)])
+        report = json.loads((out_dir / "report.json").read_text())
+        assert report["config"]["mode"] == "tail"
+        assert not (out_dir / "samples.csv").exists()
+
+    def test_failed_formatter_child_leaves_no_outputs(self, tmp_path, monkeypatch):
+        cfg = self._write_config(tmp_path)
+        out_dir = tmp_path / "out"
+        main(["clt", "simulate", "--config", str(cfg), "--out", str(out_dir)])
+        # a failed run leaves none of the earlier run's outputs standing
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(cli, "MIN_CHUNK_ROWS", 1000)
+        monkeypatch.setattr(cli, "_ROWS_CHILD",
+                            (sys.executable, "-c", "import sys; sys.exit(3)"))
+        with pytest.raises(subprocess.CalledProcessError):
+            main(["clt", "simulate", "--config", str(cfg), "--out", str(out_dir)])
+        assert not (out_dir / "report.json").exists()
+        assert not (out_dir / "samples.csv").exists()
+
 
 class TestSamplesCsv:
+    EDGE = np.array([-0.0, 5e-324, 1e-05, 1e16, 123456789012345.6, -1.5e-300,
+                     np.nan, np.inf, -np.inf])
+
+    @staticmethod
+    def _complex(re, im):
+        z = np.empty(len(re), dtype=complex)  # re + 1j * im would turn inf into nan
+        z.real, z.imag = re, im
+        return z
+
     @staticmethod
     def _csv_writer_bytes(path, samples):
         with open(path, "w", newline="") as fh:
@@ -125,18 +164,76 @@ class TestSamplesCsv:
             writer.writerows(zip(samples.real.tolist(), samples.imag.tolist()))
         return path.read_bytes()
 
+    @pytest.fixture
+    def children(self, monkeypatch):
+        """The children the writer starts (a spy on subprocess.Popen)."""
+        started = []
+        popen = subprocess.Popen
+
+        def spy(*args, **kwargs):
+            started.append(popen(*args, **kwargs))
+            return started[-1]
+
+        monkeypatch.setattr(cli.subprocess, "Popen", spy)
+        return started
+
+    def _edge_samples(self, m, chunks):
+        """m simulated samples with the edge values on both sides of every
+        chunk boundary and at the end."""
+        samples = simulate(monomial(2), CoefficientSequence.ones(12), 12,
+                           m, seed=42).array().copy()
+        k = len(self.EDGE)
+        before = self._complex(self.EDGE, self.EDGE[::-1])
+        for b in [m * j // chunks for j in range(1, chunks)]:
+            samples[b - k:b] = before
+            samples[b:b + k] = self._complex(self.EDGE[::-1], self.EDGE)
+        samples[m - k:] = before
+        return samples
+
     @pytest.mark.parametrize("kind", ["simulate", "edge"])
     def test_bytes_match_csv_writer(self, tmp_path, kind):
         if kind == "simulate":
             samples = simulate(monomial(2), CoefficientSequence.ones(12), 12,
                                5000, seed=42).array()
         else:
-            edge = np.array([-0.0, 5e-324, 1e-05, 1e16, 123456789012345.6,
-                             -1.5e-300])
-            samples = edge + 1j * edge[::-1]
+            samples = self._complex(self.EDGE, self.EDGE[::-1])
         _write_samples_csv(tmp_path / "fast.csv", samples)
         assert ((tmp_path / "fast.csv").read_bytes()
                 == self._csv_writer_bytes(tmp_path / "ref.csv", samples))
+
+    @pytest.mark.parametrize("chunks", [1, 2, 3])
+    def test_chunked_bytes_match_csv_writer(self, tmp_path, monkeypatch,
+                                            children, chunks):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: chunks)
+        monkeypatch.setattr(cli, "MIN_CHUNK_ROWS", 10)
+        samples = self._edge_samples(3000, chunks)
+        _write_samples_csv(tmp_path / "fast.csv", samples)
+        assert len(children) == chunks - 1
+        assert ((tmp_path / "fast.csv").read_bytes()
+                == self._csv_writer_bytes(tmp_path / "ref.csv", samples))
+
+    @pytest.mark.parametrize("extra,started", [(-1, 0), (0, 1)])
+    def test_threshold_for_a_child(self, tmp_path, monkeypatch, children,
+                                   extra, started):
+        # 2 * MIN_CHUNK_ROWS rows are the fewest that get a second chunk
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 4)
+        m = 2 * cli.MIN_CHUNK_ROWS + extra
+        samples = np.random.default_rng(5).standard_normal((m, 2)) @ [1, 1j]
+        _write_samples_csv(tmp_path / "fast.csv", samples)
+        assert len(children) == started
+        assert ((tmp_path / "fast.csv").read_bytes()
+                == self._csv_writer_bytes(tmp_path / "ref.csv", samples))
+
+    def test_failed_child_raises(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(cli, "MIN_CHUNK_ROWS", 10)
+        monkeypatch.setattr(cli, "_ROWS_CHILD",
+                            (sys.executable, "-c", "import sys; sys.exit(3)"))
+        path = tmp_path / "samples.csv"
+        with pytest.raises(subprocess.CalledProcessError) as err:
+            _write_samples_csv(path, np.zeros(30, dtype=complex))
+        assert err.value.returncode == 3
+        assert not path.exists()
 
 
 class TestClarkDump:
