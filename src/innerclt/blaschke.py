@@ -12,6 +12,7 @@ scalars or numpy arrays.
 from __future__ import annotations
 
 import cmath
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -108,8 +109,8 @@ class BlaschkeProduct:
     # -- evaluation ---------------------------------------------------------
 
     # Public entry points validate their points; the private _eval, _step and
-    # _derivative do not.  Callers that iterate validate once at entry and
-    # then call _step, whose output is unimodular and so always valid.
+    # _derivative do not.  Iterating callers walk orbit, which validates once
+    # and then calls _step, whose output is unimodular and so always valid.
 
     def _validate_points(self, w: np.ndarray):
         if not np.all(np.isfinite(w)):
@@ -191,23 +192,27 @@ class BlaschkeProduct:
         self._validate_points(arr)
         return self._step(arr)
 
-    def boundary_orbit(self, z, n: int):
-        """f^n on the circle, renormalizing to modulus 1 after each step."""
-        cur = np.asarray(z, dtype=complex).copy()
+    def orbit(self, z, n: int):
+        """Yield f^0 = z, f^1, ..., f^n on the circle; z is validated at the call."""
+        cur = np.asarray(z, dtype=complex)
         self._validate_points(cur)
+        return self._walk(cur, n)
+
+    def _walk(self, cur, n: int):
+        yield cur
         for _ in range(n):
             cur = self._step(cur)
+            yield cur
+
+    def boundary_orbit(self, z, n: int):
+        """f^n on the circle, renormalizing to modulus 1 after each step."""
+        for cur in self.orbit(z, n):
+            pass
         return cur
 
     def boundary_iterates(self, z, n_max: int) -> dict:
         """All f^1 .. f^{n_max} at the given circle points, keyed by n."""
-        out = {}
-        cur = np.asarray(z, dtype=complex)
-        self._validate_points(cur)
-        for n in range(1, n_max + 1):
-            cur = self._step(cur)
-            out[n] = cur
-        return out
+        return {n: cur for n, cur in enumerate(self.orbit(z, n_max)) if n}
 
     def iterate_boundary(self, p: CirclePoint, n: int, max_steps: int = 64) -> CirclePoint:
         if n < 0:
@@ -267,13 +272,9 @@ def jet_of_iterate(f: BlaschkeProduct, n: int) -> TaylorJet:
 
 def iterate_derivative_on_circle(f: BlaschkeProduct, z, n: int):
     """(f^n)'(z) on the circle, by the chain rule along the orbit."""
-    arr = np.asarray(z, dtype=complex)
-    f._validate_points(arr)
-    out = np.ones_like(arr)
-    cur = arr
-    for _ in range(n):
+    out = np.ones_like(np.asarray(z, dtype=complex))
+    for cur in itertools.islice(f.orbit(z, n), n):
         out = out * f._derivative(cur)
-        cur = f._step(cur)
     return out
 
 

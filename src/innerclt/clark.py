@@ -15,26 +15,37 @@ import numpy as np
 
 from .blaschke import TWO_PI, BlaschkeProduct, CirclePoint, jet_of_iterate
 from .errors import BudgetExceeded, NonConvergence, RootBracketFailure
-from .quadrature import degree_aware_grid, integrate
+from .quadrature import _budgeted_integral, integrate
 
 ATOM_COUNT_CAP = 4096
 NEWTON_STEPS = 3
 WEIGHT_SUM_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClarkMeasure:
+    """Atoms as a read-only (n, 2) array of (angle, weight), angles in [0, 2 pi)."""
+
     alpha: CirclePoint
-    atoms: tuple  # of (CirclePoint, weight)
+    atoms: np.ndarray
     source_degree: int
+
+    def __post_init__(self):
+        atoms = np.array(self.atoms, dtype=float)
+        if atoms.ndim != 2 or atoms.shape[1] != 2:
+            raise ValueError("atoms must be an (n, 2) array of (angle, weight) rows")
+        # a tiny negative angle rounds to 2 pi, which the second pass maps to 0
+        atoms[:, 0] = atoms[:, 0] % TWO_PI % TWO_PI
+        atoms.flags.writeable = False
+        object.__setattr__(self, "atoms", atoms)
 
     @property
     def angles(self) -> np.ndarray:
-        return np.array([p.theta for p, _ in self.atoms])
+        return self.atoms[:, 0]
 
     @property
     def weights(self) -> np.ndarray:
-        return np.array([w for _, w in self.atoms])
+        return self.atoms[:, 1]
 
     def moment(self, order: int) -> complex:
         """int z^order d mu_alpha as an atomic sum."""
@@ -43,7 +54,7 @@ class ClarkMeasure:
     def to_dict(self) -> dict:
         return {
             "alpha": self.alpha.theta,
-            "atoms": [[p.theta, w] for p, w in self.atoms],
+            "atoms": self.atoms.tolist(),
         }
 
 
@@ -139,8 +150,8 @@ def clark_measure(f: BlaschkeProduct, alpha: CirclePoint, power: int = 1) -> Cla
     if abs(total - 1.0) > WEIGHT_SUM_TOL:
         raise RootBracketFailure(
             f"clark weights sum to {total}, not 1; atom solve is suspect")
-    atoms = tuple((CirclePoint(t), float(w)) for t, w in zip(angles, weights))
-    return ClarkMeasure(alpha=alpha, atoms=atoms, source_degree=solver.total_degree)
+    return ClarkMeasure(alpha=alpha, atoms=np.column_stack((angles, weights)),
+                        source_degree=solver.total_degree)
 
 
 def check_first_moment(f: BlaschkeProduct, alpha: CirclePoint, power: int = 1) -> float:
@@ -187,14 +198,12 @@ def moment_polynomial(f: BlaschkeProduct, power: int, order: int,
     if order == 0:
         raise ValueError("order must be nonzero")
     ell = abs(order)
-    top_degree = ell * (f.degree ** power) + ell
-    grid = degree_aware_grid(top_degree)
     coeffs = []
     for k in range(1, ell + 1):
         def g(z, k=k):
             fn = f.boundary_orbit(z, power)
             return fn ** k * np.conj(z) ** ell
-        c = integrate(g, tol=tol, min_grid=grid).value
+        c = _budgeted_integral(g, ell * (f.degree ** power) + ell, tol)
         coeffs.append(c if order > 0 else np.conj(c))
     return MomentPolynomial(order=order, coeffs=tuple(coeffs))
 
@@ -215,7 +224,8 @@ def check_moment_bound(f: BlaschkeProduct, power: int, order: int) -> MomentBoun
 def moment_bound_onset(f: BlaschkeProduct, power_values, order_cap: int = 3):
     """Smallest power from which the moment bound holds for all tested orders.
 
-    Returns None if no tested power starts an all-pass suffix.
+    A power past the quadrature budget or convergence fails.  Returns None
+    if no tested power starts an all-pass suffix.
     """
     powers = sorted(power_values)
     passes = {}

@@ -7,6 +7,7 @@ E|T|^2 = 1/2 (real and imaginary parts independent, each of variance 1/4).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -94,13 +95,9 @@ class GaussFitReport:
 def _accumulate(f: BlaschkeProduct, coeffs: np.ndarray, z: np.ndarray,
                 start_power: int = 1) -> np.ndarray:
     """sum_j coeffs[j] f^{start_power + j}(z), one orbit pass."""
-    f._validate_points(z)
+    orbit = f.orbit(z, start_power + len(coeffs) - 1)
     acc = np.zeros_like(z)
-    cur = z
-    for _ in range(start_power - 1):
-        cur = f._step(cur)
-    for c in coeffs:
-        cur = f._step(cur)
+    for c, cur in zip(coeffs, itertools.islice(orbit, start_power, None)):
         acc = acc + c * cur
     return acc
 

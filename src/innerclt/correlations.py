@@ -12,16 +12,15 @@ with f^0 = z: its grid and budget are set by the spread n_k - n_1, not n_k.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .blaschke import BlaschkeProduct
-from .errors import BudgetExceeded, SeparationViolation, ShapeMismatch
-from .quadrature import DEFAULT_MAX_GRID, degree_aware_grid, integrate
-
-GRID_CAP = DEFAULT_MAX_GRID
+from .errors import SeparationViolation, ShapeMismatch
+from .quadrature import _budgeted_integral
 
 
 @dataclass(frozen=True)
@@ -125,35 +124,22 @@ class DecayCheck:
     rows: tuple  # (k, q, phi, abs_value, bound_at_c1, within)
 
 
-def _check_budget(f: BlaschkeProduct, powers) -> int:
-    """Starting grid for an integrand of the given (shifted) powers."""
-    total = sum(f.degree ** n for n in powers)
-    grid = degree_aware_grid(total)
-    if 8 * total > GRID_CAP:
-        raise BudgetExceeded(
-            f"total iterate degree {total} exceeds the quadrature budget")
-    return grid
-
-
-def _iterates(f: BlaschkeProduct, z, n_max: int) -> dict:
-    """f^0 = z, f^1, ..., f^{n_max} at the given circle points, keyed by n."""
-    return {0: z, **f.boundary_iterates(z, n_max)}
-
-
 def _signed_integral(f: BlaschkeProduct, signs, powers, tol: float) -> complex:
-    """int prod (f^{n_j})^{+-} dm, evaluated as int prod (f^{n_j - n_1})^{+-} dm."""
-    base = min(powers)
-    powers = tuple(n - base for n in powers)
-    grid = _check_budget(f, powers)
+    """int prod (f^{n_j})^{+-} dm, evaluated as int prod (f^{n_j - n_1})^{+-} dm.
+
+    powers are nondecreasing: the factors multiply in order along the orbit.
+    """
+    powers = tuple(n - powers[0] for n in powers)
+    signs_at = {n: [s for s, m in zip(signs, powers) if m == n] for n in powers}
 
     def g(z):
-        its = _iterates(f, z, max(powers))
         out = np.ones_like(z)
-        for s, n in zip(signs, powers):
-            out = out * (its[n] if s > 0 else np.conj(its[n]))
+        for n, cur in enumerate(f.orbit(z, powers[-1])):
+            for s in signs_at.get(n, ()):
+                out = out * (cur if s > 0 else np.conj(cur))
         return out
 
-    return integrate(g, tol=tol, min_grid=grid).value
+    return _budgeted_integral(g, sum(f.degree ** n for n in powers), tol)
 
 
 def pair_correlation(f: BlaschkeProduct, k: int, j: int,
@@ -186,32 +172,32 @@ def block_product_factorization(f: BlaschkeProduct, blocks,
         if max(left.block) >= min(right.block):
             raise SeparationViolation(
                 f"blocks {left.block} and {right.block} are not separated")
-    # the lhs is shifted by the smallest power, each rhs factor by its block's
-    def abs2(b, its, base):
-        xi = np.zeros_like(its[0])
-        for n, c in zip(b.block, b.coefficients):
-            xi = xi + c * its[n - base]
-        return np.abs(xi) ** 2
 
-    base = min(blocks[0].block)
-    powers = [n - base for b in blocks for n in b.block]
-    grid = _check_budget(f, powers + [max(b.block) - base for b in blocks])
-
-    def product_integrand(z):
-        its = _iterates(f, z, max(powers))
+    # prod |xi_k|^2 over a run of blocks, on indices shifted by the run's
+    # smallest one: the lhs runs all blocks, each rhs factor one.  Each xi_k
+    # sums in its block's order over the iterates walked since the last block.
+    def abs2_product(group, z):
+        walked = min(group[0].block)
+        walk = enumerate(f.orbit(z, max(group[-1].block) - walked), start=walked)
         out = np.ones_like(z, dtype=float)
-        for b in blocks:
-            out = out * abs2(b, its, base)
+        for b in group:
+            its = dict(itertools.islice(walk, max(b.block) + 1 - walked))
+            walked = max(b.block) + 1
+            xi = np.zeros_like(z)
+            for n, c in zip(b.block, b.coefficients):
+                xi = xi + c * its[n]
+            out = out * np.abs(xi) ** 2
         return out
 
-    lhs = integrate(product_integrand, tol=tol, min_grid=grid).value
+    d = f.degree
+    base = min(blocks[0].block)
+    degree = sum(d ** (n - base) for b in blocks for n in b.block) \
+        + sum(d ** (max(b.block) - base) for b in blocks)
+    lhs = _budgeted_integral(lambda z: abs2_product(blocks, z), degree, tol)
     rhs = 1.0 + 0j
     for b in blocks:
-        low = min(b.block)
-        spread = max(b.block) - low
-        rhs *= integrate(lambda z, b=b, low=low, spread=spread:
-                         abs2(b, _iterates(f, z, spread), low),
-                         tol=tol, min_grid=degree_aware_grid(2 * f.degree ** spread)).value
+        spread = max(b.block) - min(b.block)
+        rhs *= _budgeted_integral(lambda z, b=b: abs2_product([b], z), 2 * d ** spread, tol)
     return FactorizationResult(lhs, rhs, abs(lhs - rhs))
 
 

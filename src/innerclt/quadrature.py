@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonConvergence
+from .errors import BudgetExceeded, NonConvergence
 
 TWO_PI = 2.0 * math.pi
 
@@ -50,10 +50,9 @@ def next_power_of_two(n: int) -> int:
     return 1 << max(0, (int(n) - 1)).bit_length()
 
 
-def degree_aware_grid(total_degree: int, factor: int = 8,
-                      cap: int = DEFAULT_MAX_GRID) -> int:
-    """Starting grid for integrands of known harmonic content."""
-    return min(cap, max(DEFAULT_MIN_GRID, next_power_of_two(factor * total_degree)))
+def degree_aware_grid(total_degree: int) -> int:
+    """Starting grid for integrands of known harmonic content: 8 points per degree."""
+    return min(DEFAULT_MAX_GRID, max(DEFAULT_MIN_GRID, next_power_of_two(8 * total_degree)))
 
 
 def integrate(g, tol: float = 1e-12, max_grid: int = DEFAULT_MAX_GRID,
@@ -92,6 +91,19 @@ def integrate(g, tol: float = 1e-12, max_grid: int = DEFAULT_MAX_GRID,
         f"quadrature did not reach tol={tol} at grid {grid} (delta={delta:.3e})",
         value=value, est_error=delta, grid_size=grid,
     )
+
+
+def _budgeted_integral(g, degree: int, tol: float) -> complex:
+    """Value of integrate(g) from the degree-aware grid of g's harmonic degree.
+
+    A start grid at the cap gets one level and no error estimate, so it
+    could only end in NonConvergence: raise BudgetExceeded instead.
+    """
+    grid = degree_aware_grid(degree)
+    if grid == DEFAULT_MAX_GRID:
+        raise BudgetExceeded(
+            f"harmonic degree {degree} puts the start grid at the cap {DEFAULT_MAX_GRID}")
+    return integrate(g, tol=tol, min_grid=grid).value
 
 
 # -- counter-based uniforms -------------------------------------------------

@@ -190,11 +190,18 @@ class TestOrbitKernel:
             orbit.append(f.boundary_step(orbit[-1]))
         return orbit
 
+    def test_orbit_yields_z_first(self):
+        z = self.points(16)
+        assert next(DEG2_HALF.orbit(z, self.STEPS)) is z
+
     @pytest.mark.parametrize("size", [1000, 2 ** 15])
     @pytest.mark.parametrize("f", MAPS)
     def test_orbit_and_iterates_match_public_steps(self, f, size):
         z = self.points(size)
         ref = self.reference_orbit(f, z)
+        walked = list(f.orbit(z, self.STEPS))
+        assert len(walked) == self.STEPS + 1
+        assert all(np.array_equal(w, r) for w, r in zip(walked, ref))
         assert np.array_equal(f.boundary_orbit(z, self.STEPS), ref[-1])
         its = f.boundary_iterates(z, self.STEPS)
         assert all(np.array_equal(its[n], ref[n]) for n in range(1, self.STEPS + 1))
@@ -230,6 +237,7 @@ class TestOrbitKernel:
                 w = complex(f(ref[-1]))
                 ref.append(w / np.abs(w))
             z = np.asarray(z)
+            assert list(f.orbit(z, self.STEPS)) == ref
             assert f.boundary_orbit(z, self.STEPS) == ref[-1]
             assert f.boundary_iterates(z, self.STEPS)[self.STEPS] == ref[-1]
             expected = np.ones_like(z)
@@ -245,6 +253,8 @@ class TestOrbitKernel:
         "call": lambda f, z: f(z),
         "derivative": lambda f, z: f.derivative(z),
         "boundary_step": lambda f, z: f.boundary_step(z),
+        # not iterated: orbit must raise at the call, with no step to take
+        "orbit": lambda f, z: f.orbit(z, 0),
         "boundary_orbit": lambda f, z: f.boundary_orbit(z, 3),
         "boundary_iterates": lambda f, z: f.boundary_iterates(z, 3),
         "iterate_derivative": lambda f, z: iterate_derivative_on_circle(f, z, 3),

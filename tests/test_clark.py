@@ -9,7 +9,7 @@ import pytest
 from innerclt.blaschke import (BlaschkeProduct, CirclePoint,
                                iterate_derivative_on_circle, jet_of_iterate,
                                monomial)
-from innerclt.clark import (BoundaryAtomSolver, check_first_moment,
+from innerclt.clark import (BoundaryAtomSolver, ClarkMeasure, check_first_moment,
                             check_moment_bound, check_second_moment,
                             clark_measure, desintegrate, moment_bound_onset,
                             moment_polynomial)
@@ -105,6 +105,26 @@ class TestGeneralAtoms:
     def test_budget_cap(self):
         with pytest.raises(BudgetExceeded):
             BoundaryAtomSolver(DEG2_HALF, power=13)  # 2^13 atoms
+
+
+class TestClarkMeasureArray:
+    def test_atoms_are_one_read_only_array(self):
+        mu = clark_measure(DEG2_HALF, CirclePoint(1.0), power=3)
+        assert mu.atoms.shape == (8, 2)
+        assert np.shares_memory(mu.angles, mu.atoms)
+        assert np.shares_memory(mu.weights, mu.atoms)
+        with pytest.raises(ValueError):
+            mu.atoms[0, 1] = 0.5
+        assert mu.to_dict()["atoms"] == [[t, w] for t, w in mu.atoms.tolist()]
+
+    def test_angles_are_canonical(self):
+        # -5e-324 % 2 pi rounds to 2 pi, which must become 0
+        mu = ClarkMeasure(CirclePoint(0.0), [[-5e-324, 0.25], [TWO_PI, 0.25], [7.0, 0.5]], 2)
+        assert mu.angles.tolist() == [0.0, 0.0, 7.0 % TWO_PI]
+
+    def test_rejects_ragged_atoms(self):
+        with pytest.raises(ValueError):
+            ClarkMeasure(CirclePoint(0.0), [1.0, 0.5], 1)
 
 
 class TestPullback:
@@ -208,6 +228,10 @@ class TestMomentPolynomial:
         check = check_moment_bound(monomial(2), 3, 1)
         assert check.vacuous
         assert check.passed
+
+    def test_onset_past_the_budget(self):
+        # powers 14 and 15 raise BudgetExceeded, which counts as failing
+        assert moment_bound_onset(DEG2_HALF, range(1, 16)) is None
 
     def test_bound_eventually_holds(self):
         onset = moment_bound_onset(DEG2_HALF, range(1, 8), order_cap=2)

@@ -54,7 +54,8 @@ class TestVerifyCommand:
     def test_variance_suite_with_csv(self, tmp_path, capsys):
         csv_path = tmp_path / "variance.csv"
         assert main(["verify", "variance", "--csv", str(csv_path)]) == 0
-        rows = list(csv.reader(open(csv_path)))
+        with open(csv_path, newline="") as fh:
+            rows = list(csv.reader(fh))
         assert rows[0] == ["N", "S2", "sigma2", "ratio", "growth_ratio",
                            "quasi_ratio", "Q_N"]
         assert len(rows) == 4
@@ -62,7 +63,8 @@ class TestVerifyCommand:
     def test_correlations_suite_with_csv(self, tmp_path):
         csv_path = tmp_path / "corr.csv"
         assert main(["verify", "correlations", "--csv", str(csv_path)]) == 0
-        rows = list(csv.reader(open(csv_path)))
+        with open(csv_path, newline="") as fh:
+            rows = list(csv.reader(fh))
         assert rows[0] == ["k", "q", "phi", "abs_I", "bound", "pass"]
 
 
@@ -88,10 +90,11 @@ class TestSimulateCommand:
         out_dir = tmp_path / "out"
         assert main(["clt", "simulate", "--config", str(cfg),
                      "--out", str(out_dir)]) == 0
-        report = json.load(open(out_dir / "report.json"))
+        report = json.loads((out_dir / "report.json").read_text())
         assert report["pass"] is True
         assert report["config"]["N"] == 12
-        rows = list(csv.reader(open(out_dir / "samples.csv")))
+        with open(out_dir / "samples.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
         assert rows[0] == ["re", "im"]
         assert len(rows) == 20_001
 
@@ -101,7 +104,7 @@ class TestSimulateCommand:
         out_dir = tmp_path / "out2"
         assert main(["clt", "simulate", "--config", str(cfg),
                      "--out", str(out_dir)]) == 1
-        assert json.load(open(out_dir / "report.json"))["pass"] is False
+        assert json.loads((out_dir / "report.json").read_text())["pass"] is False
 
     def test_deterministic_outputs(self, tmp_path):
         cfg = self._write_config(tmp_path)

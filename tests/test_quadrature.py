@@ -8,11 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from innerclt import quadrature
 from innerclt.blaschke import BlaschkeProduct, monomial
-from innerclt.errors import NonConvergence
-from innerclt.quadrature import (check_invariance, circle_grid, counter_uniform,
-                                 degree_aware_grid, integrate, mc_integrate,
-                                 next_power_of_two, uniform_angles)
+from innerclt.clark import moment_polynomial
+from innerclt.correlations import pair_correlation
+from innerclt.errors import BudgetExceeded, NonConvergence
+from innerclt.quadrature import (DEFAULT_MAX_GRID, check_invariance, circle_grid,
+                                 counter_uniform, degree_aware_grid, integrate,
+                                 mc_integrate, next_power_of_two, uniform_angles)
+from innerclt.variance import CoefficientSequence, l2_identity_check
 
 DEG2_HALF = BlaschkeProduct(zeros=(0.0, 0.5))
 DEG3_MIXED = BlaschkeProduct(zeros=(0.0, 0.3 + 0.4j, -0.2j), rotation=cmath.exp(0.7j))
@@ -173,6 +177,39 @@ class TestGridHelpers:
         assert degree_aware_grid(1) == 256
         assert degree_aware_grid(100) == 1024
         assert degree_aware_grid(10 ** 9) == 2 ** 18
+
+
+class TestGridBudget:
+    """Integrals of iterates start on the degree-aware grid of their harmonic
+    degree; a start grid at the cap raises BudgetExceeded before integrating."""
+
+    @pytest.fixture
+    def start_grids(self, monkeypatch):
+        grids = []
+
+        def spy(g, **kwargs):
+            grids.append(kwargs["min_grid"])
+            return integrate(g, **kwargs)
+
+        monkeypatch.setattr(quadrature, "integrate", spy)
+        return grids
+
+    @pytest.mark.parametrize("call", [
+        lambda: pair_correlation(DEG2_HALF, 1, 15),
+        lambda: l2_identity_check(DEG2_HALF, CoefficientSequence.ones(14), 14),
+        lambda: moment_polynomial(DEG2_HALF, 14, 1),
+    ], ids=["pair(1,15)", "l2(N=14)", "moment(power=14)"])
+    def test_start_at_cap_raises_before_integrating(self, start_grids, call):
+        with pytest.raises(BudgetExceeded):
+            call()
+        assert start_grids == []
+
+    def test_start_below_cap_runs_two_levels(self, start_grids):
+        with pytest.raises(NonConvergence) as err:
+            pair_correlation(DEG2_HALF, 1, 14)
+        assert start_grids == [DEFAULT_MAX_GRID // 2]
+        assert err.value.grid_size == DEFAULT_MAX_GRID
+        assert math.isfinite(err.value.est_error)
 
 
 class TestCounterUniform:
