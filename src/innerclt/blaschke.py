@@ -36,7 +36,8 @@ class CirclePoint:
     def __post_init__(self):
         if not math.isfinite(self.theta):
             raise ValueError(f"non-finite angle: {self.theta}")
-        object.__setattr__(self, "theta", float(self.theta) % TWO_PI)
+        # a tiny negative angle rounds to 2 pi, which the second pass maps to 0
+        object.__setattr__(self, "theta", float(self.theta) % TWO_PI % TWO_PI)
 
     @property
     def value(self) -> complex:
@@ -123,9 +124,15 @@ class BlaschkeProduct:
                 raise ValueError(f"evaluation point too close to pole {pole}")
 
     def _eval(self, arr: np.ndarray):
-        out = self.rotation * arr ** self._origin_multiplicity
+        # Each complex product keeps its temporary on the left.  On arrays
+        # of 256 KiB or more numpy reuses a temporary operand in place and,
+        # for a commutative ufunc, swaps it to the left; a fused-multiply-add
+        # complex product is not bitwise commutative, so writing the other
+        # order would make a point's bits depend on how many points share
+        # the call.
+        out = arr ** self._origin_multiplicity * self.rotation
         for a, conj_a in self._factors:
-            out = out * (a - arr) / (1.0 - conj_a * arr)
+            out = (a - arr) * out / (1.0 - conj_a * arr)
         return complex(out) if arr.ndim == 0 else out
 
     def _step(self, z):

@@ -225,25 +225,16 @@ def moment_bound_onset(f: BlaschkeProduct, power_values, order_cap: int = 3):
     """Smallest power from which the moment bound holds for all tested orders.
 
     A power past the quadrature budget or convergence fails.  Returns None
-    if no tested power starts an all-pass suffix.
+    if no tested power starts an all-pass suffix.  Only that suffix counts,
+    so the powers are checked from the top down until the first failure.
     """
-    powers = sorted(power_values)
-    passes = {}
-    for n in powers:
-        ok = True
-        for ell in range(1, min(n, order_cap) + 1):
-            try:
-                if not check_moment_bound(f, n, ell).passed:
-                    ok = False
-                    break
-            except (BudgetExceeded, NonConvergence):
-                ok = False
-                break
-        passes[n] = ok
     onset = None
-    for n in reversed(powers):
-        if passes[n]:
-            onset = n
-        else:
+    for n in sorted(power_values, reverse=True):
+        try:
+            if not all(check_moment_bound(f, n, ell).passed
+                       for ell in range(1, min(n, order_cap) + 1)):
+                break
+        except (BudgetExceeded, NonConvergence):
             break
+        onset = n
     return onset

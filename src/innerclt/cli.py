@@ -9,6 +9,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -82,38 +83,46 @@ def _write_samples_csv(path, samples: np.ndarray):
     The rows are split into contiguous chunks, one per usable CPU and at
     most one per MIN_CHUNK_ROWS rows.  This process formats chunk 0 while
     child interpreters (`_csvrows.py`) format the others, and the chunks are
-    written in row order.  A child that fails raises CalledProcessError and
-    leaves no samples.csv.
+    written in row order.  Every process formats and writes its chunk
+    `_csvrows.BLOCK` rows at a time, so no chunk's text is held whole; a
+    child's raw input and rows are spooled to unnamed files in the directory
+    of `path`.  A child that fails
+    raises CalledProcessError and leaves no samples.csv.
     """
     flat = np.ascontiguousarray(samples, dtype=np.complex128).view(np.float64)
     m = len(flat) // 2
     chunks = max(1, min(_usable_cpus(), m // MIN_CHUNK_ROWS))
     bounds = [2 * (m * k // chunks) for k in range(chunks + 1)]
-    procs = []
-    try:
-        for lo, hi in zip(bounds[1:], bounds[2:]):
-            # A file, unlike a pipe, takes the input without waiting for
-            # the child to start.
-            with tempfile.TemporaryFile() as raw:
-                raw.write(flat[lo:hi].data)
-                raw.seek(0)
-                procs.append(subprocess.Popen(_ROWS_CHILD, stdin=raw,
-                                              stdout=subprocess.PIPE))
-        with open(path, "wb") as fh:
-            fh.write(b"re,im\r\n")
-            fh.write(_csvrows.rows(flat[:bounds[1]].tolist()).encode("ascii"))
-            for proc in procs:
-                shutil.copyfileobj(proc.stdout, fh)
-                if proc.wait() != 0:
-                    raise subprocess.CalledProcessError(proc.returncode, proc.args)
-    except BaseException:
-        Path(path).unlink(missing_ok=True)
-        raise
-    finally:
-        for proc in procs:
-            proc.kill()  # skips a child that has exited
-            proc.wait()
-            proc.stdout.close()
+    procs = []  # (child, the file it writes its rows to)
+    spool = Path(path).parent
+    with contextlib.ExitStack() as files:
+        try:
+            for lo, hi in zip(bounds[1:], bounds[2:]):
+                # Files, unlike pipes, take a child's input before it starts
+                # and its rows before this process reads them, so neither
+                # side waits for the other.  They sit next to samples.csv,
+                # on the disk that is to hold those rows anyway.
+                text = files.enter_context(tempfile.TemporaryFile(dir=spool))
+                with tempfile.TemporaryFile(dir=spool) as raw:
+                    raw.write(flat[lo:hi].data)
+                    raw.seek(0)
+                    procs.append((subprocess.Popen(_ROWS_CHILD, stdin=raw,
+                                                   stdout=text), text))
+            with open(path, "wb") as fh:
+                fh.write(b"re,im\r\n")
+                _csvrows.write_rows(flat[:bounds[1]], fh.write)
+                for proc, text in procs:
+                    if proc.wait() != 0:
+                        raise subprocess.CalledProcessError(proc.returncode, proc.args)
+                    text.seek(0)
+                    shutil.copyfileobj(text, fh)
+        except BaseException:
+            Path(path).unlink(missing_ok=True)
+            raise
+        finally:
+            for proc, _ in procs:
+                proc.kill()  # skips a child that has exited
+                proc.wait()
 
 
 # -- verify suites ----------------------------------------------------------

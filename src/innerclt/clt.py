@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._csvrows import BLOCK
 from .blaschke import BlaschkeProduct, CirclePoint
 from .errors import HeavyTruncation, InsufficientSamples
 from .quadrature import uniform_angles
@@ -102,6 +103,24 @@ def _accumulate(f: BlaschkeProduct, coeffs: np.ndarray, z: np.ndarray,
     return acc
 
 
+def _sample(f: BlaschkeProduct, coeffs: np.ndarray, M: int, seed: int,
+            scale: float, start_power: int = 1) -> np.ndarray:
+    """_accumulate / scale at the M counter-seeded uniform angles of seed.
+
+    The samples are computed BLOCK (8192, the CSV writer's block too) at a
+    time into one preallocated array, so an orbit step's working set is a
+    few 128 KiB complex arrays whatever M is.  Sample i depends only on
+    (seed, i) and the orbit step is pointwise bit for bit, so the values do
+    not depend on BLOCK.
+    """
+    out = np.empty(M, dtype=complex)
+    for lo in range(0, M, BLOCK):
+        hi = min(lo + BLOCK, M)
+        z = np.exp(1j * uniform_angles(seed, hi - lo, start=lo))
+        out[lo:hi] = _accumulate(f, coeffs, z, start_power) / scale
+    return out
+
+
 def sample_T(f: BlaschkeProduct, a: CoefficientSequence, N: int,
              theta: CirclePoint) -> complex:
     """One value of T_N at the boundary point e^{i theta}."""
@@ -134,8 +153,7 @@ def simulate(f: BlaschkeProduct, a: CoefficientSequence, N: int, M: int,
         scale = math.sqrt(2.0 * N * asymptotic_sigma_squared(lam))
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    z = np.exp(1j * uniform_angles(seed, M))
-    values = _accumulate(f, a.array(N), z) / scale
+    values = _sample(f, a.array(N), M, seed, scale)
     return EmpiricalDistribution(samples=values, N=N, M=M, seed=seed,
                                  normalization=mode)
 
@@ -213,9 +231,8 @@ def tails_run(f: BlaschkeProduct, a: CoefficientSequence, N: int, M: int,
             f"estimated truncated mass {est:.3e} exceeds "
             f"{truncation_tol:g} * tail mass {tail_mass:.3e}")
     sigma2 = tail_sigma_squared(a, f.taylor_at_zero().c1, N)
-    z = np.exp(1j * uniform_angles(seed, M))
-    coeffs = a.array()[N - 1:]
-    values = _accumulate(f, coeffs, z, start_power=N) / math.sqrt(2.0 * sigma2)
+    values = _sample(f, a.array()[N - 1:], M, seed, math.sqrt(2.0 * sigma2),
+                     start_power=N)
     dist = EmpiricalDistribution(samples=values, N=N, M=M, seed=seed,
                                  normalization="tail")
     return gauss_report(dist, tolerances)

@@ -228,6 +228,22 @@ class TestOrbitKernel:
                 expected = expected + c * cur
             assert np.array_equal(clt._accumulate(f, coeffs, z, start_power=start), expected)
 
+    @pytest.mark.parametrize("f", [DEG2_HALF, DEG3_MIXED])
+    def test_step_bits_do_not_depend_on_batch_length(self, f):
+        # numpy reuses a temporary operand of 256 KiB (2^14 points) or more
+        # in place, and a complex product is not bitwise commutative, so a
+        # kernel whose operand order hinges on that reuse would step a point
+        # differently in a 65 536-point call than in its slices.  Slices of
+        # 1 and 5 cover the first 2048 points, which keeps the test fast and
+        # still meets every position modulo any SIMD width.
+        z = self.points(2 ** 16)
+        whole = f.boundary_step(z)
+        for size in (1, 5, 8192, 16384):
+            stop = len(z) if size > 5 else 2048
+            sliced = np.concatenate([f.boundary_step(z[lo:lo + size])
+                                     for lo in range(0, stop, size)])
+            assert np.array_equal(sliced, whole[:len(sliced)]), size
+
     @pytest.mark.parametrize("f", MAPS)
     def test_scalar_orbit_steps_in_python_complex(self, f):
         # a 0-d point steps as complex(f(z)) / np.abs(f(z)), Python complex division
@@ -283,6 +299,11 @@ class TestCirclePoint:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             CirclePoint.from_complex(0.0)
+
+    @pytest.mark.parametrize("theta", [-1e-17, -5e-324])
+    def test_tiny_negative_angle_is_zero(self, theta):
+        # theta % 2pi rounds to 2pi itself, outside [0, 2pi)
+        assert CirclePoint(theta).theta == 0.0
 
 
 class TestSerialization:

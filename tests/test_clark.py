@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from innerclt import clark
 from innerclt.blaschke import (BlaschkeProduct, CirclePoint,
                                iterate_derivative_on_circle, jet_of_iterate,
                                monomial)
@@ -229,9 +230,18 @@ class TestMomentPolynomial:
         assert check.vacuous
         assert check.passed
 
-    def test_onset_past_the_budget(self):
-        # powers 14 and 15 raise BudgetExceeded, which counts as failing
+    def test_onset_past_the_budget(self, monkeypatch):
+        # powers 14 and 15 raise BudgetExceeded, which counts as failing;
+        # the walk from the top stops at power 15, before powers 1-13
+        tried = []
+
+        def spy(f, power, order):
+            tried.append(power)
+            return check_moment_bound(f, power, order)
+
+        monkeypatch.setattr(clark, "check_moment_bound", spy)
         assert moment_bound_onset(DEG2_HALF, range(1, 16)) is None
+        assert tried == [15]
 
     def test_bound_eventually_holds(self):
         onset = moment_bound_onset(DEG2_HALF, range(1, 8), order_cap=2)
@@ -239,3 +249,7 @@ class TestMomentPolynomial:
         for power in range(onset, 8):
             for order in (1, min(2, power)):
                 assert check_moment_bound(DEG2_HALF, power, order).passed
+        if onset > 1:  # the onset is the smallest such power
+            below = onset - 1
+            assert not all(check_moment_bound(DEG2_HALF, below, order).passed
+                           for order in range(1, min(2, below) + 1))

@@ -4,6 +4,7 @@ import csv
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ import pytest
 from innerclt import cli
 from innerclt.blaschke import monomial
 from innerclt.cli import _write_samples_csv, coefficients_from_config, main
-from innerclt.clt import simulate
+from innerclt.clt import BLOCK, simulate
 from innerclt.variance import CoefficientSequence
 
 MAP_DEG2_HALF = {"zeros": [[0.0, 0.0], [0.5, 0.0]], "rotation": [1.0, 0.0]}
@@ -209,7 +210,8 @@ class TestSamplesCsv:
                                             children, chunks):
         monkeypatch.setattr(cli, "_usable_cpus", lambda: chunks)
         monkeypatch.setattr(cli, "MIN_CHUNK_ROWS", 10)
-        samples = self._edge_samples(3000, chunks)
+        # every chunk ends in a partial block
+        samples = self._edge_samples(chunks * (2 * BLOCK + 17), chunks)
         _write_samples_csv(tmp_path / "fast.csv", samples)
         assert len(children) == chunks - 1
         assert ((tmp_path / "fast.csv").read_bytes()
@@ -226,6 +228,34 @@ class TestSamplesCsv:
         assert len(children) == started
         assert ((tmp_path / "fast.csv").read_bytes()
                 == self._csv_writer_bytes(tmp_path / "ref.csv", samples))
+
+    def test_memory_does_not_grow_with_rows(self, tmp_path, monkeypatch):
+        # one process formats all 200 000 rows, one block at a time; the
+        # whole text at once would take about 40 MB
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+        samples = np.random.default_rng(6).standard_normal((200_000, 2)) @ [1, 1j]
+        tracemalloc.start()
+        try:
+            _write_samples_csv(tmp_path / "samples.csv", samples)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
+
+    def test_child_files_sit_next_to_output(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(cli, "MIN_CHUNK_ROWS", 10)
+        dirs = []
+        temporary_file = cli.tempfile.TemporaryFile
+
+        def spy(*args, **kwargs):
+            dirs.append(kwargs.get("dir"))
+            return temporary_file(*args, **kwargs)
+
+        monkeypatch.setattr(cli.tempfile, "TemporaryFile", spy)
+        (tmp_path / "out").mkdir()
+        _write_samples_csv(tmp_path / "out" / "samples.csv", np.zeros(30, dtype=complex))
+        assert dirs == [tmp_path / "out"] * 4  # input and rows of 2 children
 
     def test_failed_child_raises(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)

@@ -1,8 +1,10 @@
 """Sampling of normalized iterate sums and Gaussianity diagnostics."""
 
+import cmath
 import math
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,12 +12,14 @@ import pytest
 from scipy import stats
 
 import innerclt
+from innerclt import clt
 from innerclt.blaschke import BlaschkeProduct, CirclePoint, monomial
-from innerclt.clt import (EmpiricalDistribution, Tolerances, _ks_normal,
-                          gauss_report, sample_T, simulate, tails_run)
+from innerclt.clt import (BLOCK, EmpiricalDistribution, Tolerances, _accumulate,
+                          _ks_normal, gauss_report, sample_T, simulate, tails_run)
 from innerclt.errors import HeavyTruncation, InsufficientSamples
-from innerclt.quadrature import integrate
-from innerclt.variance import CoefficientSequence, sigma_N_squared
+from innerclt.quadrature import integrate, uniform_angles
+from innerclt.variance import (CoefficientSequence, asymptotic_sigma_squared,
+                               sigma_N_squared, tail_sigma_squared)
 
 DEG2_HALF = BlaschkeProduct(zeros=(0.0, 0.5))
 ONES = CoefficientSequence.ones(64)
@@ -82,6 +86,59 @@ class TestSimulate:
         zero = CoefficientSequence.explicit([0.0, 0.0, 0.0])
         with pytest.raises(ValueError, match="identically zero"):
             simulate(monomial(2), zero, 3, 2000, seed=0, mode=mode)
+
+
+class TestBlockedSampling:
+    """simulate and tails_run sample BLOCK points at a time into one array.
+
+    The samples must equal, bit for bit, one whole-array _accumulate pass,
+    whether M is below, at or past a block boundary.
+    """
+
+    MAPS = [DEG2_HALF, BlaschkeProduct(zeros=(0.0, 0.3 + 0.4j, -0.2j),
+                                       rotation=cmath.exp(0.7j))]
+    SIZES = [1000, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 17, 60_000]
+
+    @staticmethod
+    def whole_array(f, coeffs, M, seed, scale, start_power=1):
+        z = np.exp(1j * uniform_angles(seed, M))
+        return _accumulate(f, coeffs, z, start_power) / scale
+
+    @pytest.mark.parametrize("M", SIZES)
+    @pytest.mark.parametrize("f", MAPS)
+    def test_simulate_matches_whole_array(self, f, M):
+        n = 8
+        lam = f.taylor_at_zero().c1
+        scales = {"main": math.sqrt(2.0 * sigma_N_squared(ONES, lam, n)),
+                  "corollary": math.sqrt(2.0 * n * asymptotic_sigma_squared(lam))}
+        for mode, scale in scales.items():
+            dist = simulate(f, ONES, n, M, seed=11, mode=mode)
+            ref = self.whole_array(f, ONES.array(n), M, 11, scale)
+            assert np.array_equal(dist.array(), ref), mode
+
+    @pytest.mark.parametrize("M", SIZES)
+    @pytest.mark.parametrize("f", MAPS)
+    def test_tails_run_matches_whole_array(self, monkeypatch, f, M):
+        # catch the samples tails_run hands to gauss_report
+        seen = []
+        monkeypatch.setattr(clt, "gauss_report", lambda dist, tol: seen.append(dist))
+        a = CoefficientSequence.geometric(0.6, 24)
+        tails_run(f, a, 6, M, seed=12)
+        scale = math.sqrt(2.0 * tail_sigma_squared(a, f.taylor_at_zero().c1, 6))
+        ref = self.whole_array(f, a.array()[5:], M, 12, scale, start_power=6)
+        assert np.array_equal(seen[0].array(), ref)
+
+    @pytest.mark.parametrize("M", [60_000, 2 ** 18])
+    def test_memory_does_not_grow_with_M(self, M):
+        # the samples, their read-only copy and one block's orbit arrays;
+        # a whole-array orbit would hold about 7 sample-sized arrays
+        tracemalloc.start()
+        try:
+            dist = simulate(DEG2_HALF, ONES, 14, M, seed=13)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * dist.array().nbytes
 
 
 class TestKsNormal:
