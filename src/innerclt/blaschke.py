@@ -278,10 +278,14 @@ def jet_of_iterate(f: BlaschkeProduct, n: int) -> TaylorJet:
 
 
 def iterate_derivative_on_circle(f: BlaschkeProduct, z, n: int):
-    """(f^n)'(z) on the circle, by the chain rule along the orbit."""
+    """(f^n)'(z) on the circle, by the chain rule along the orbit.
+
+    Each factor f'(f^k(z)) is a fresh temporary and goes on the left of its
+    product, as in `_eval`.
+    """
     out = np.ones_like(np.asarray(z, dtype=complex))
     for cur in itertools.islice(f.orbit(z, n), n):
-        out = out * f._derivative(cur)
+        out = f._derivative(cur) * out
     return out
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._csvrows import BLOCK
+from ._ndtr import ndtr_sorted
 from .blaschke import BlaschkeProduct, CirclePoint
 from .errors import HeavyTruncation, InsufficientSamples
 from .quadrature import uniform_angles
@@ -48,7 +49,11 @@ class Tolerances:
 
 @dataclass(frozen=True, eq=False)
 class EmpiricalDistribution:
-    """Samples of T_N (a read-only copy) with their provenance."""
+    """Samples of T_N, held read-only, with their provenance.
+
+    A read-only complex array that owns its memory is kept as it is;
+    anything else (a writable array, a view, a sequence) is copied.
+    """
 
     samples: np.ndarray
     N: int
@@ -57,10 +62,13 @@ class EmpiricalDistribution:
     normalization: str  # "main", "tail" or "corollary"
 
     def __post_init__(self):
-        samples = np.array(self.samples, dtype=complex)
+        samples = self.samples
+        if not (isinstance(samples, np.ndarray) and samples.dtype == complex
+                and samples.base is None and not samples.flags.writeable):
+            samples = np.array(samples, dtype=complex)
+            samples.flags.writeable = False
         if samples.ndim != 1:
             raise ValueError("samples must form a 1-D sequence")
-        samples.flags.writeable = False
         object.__setattr__(self, "samples", samples)
 
     def array(self) -> np.ndarray:
@@ -111,13 +119,15 @@ def _sample(f: BlaschkeProduct, coeffs: np.ndarray, M: int, seed: int,
     time into one preallocated array, so an orbit step's working set is a
     few 128 KiB complex arrays whatever M is.  Sample i depends only on
     (seed, i) and the orbit step is pointwise bit for bit, so the values do
-    not depend on BLOCK.
+    not depend on BLOCK.  The array is returned read-only, so
+    EmpiricalDistribution holds it without a copy.
     """
     out = np.empty(M, dtype=complex)
     for lo in range(0, M, BLOCK):
         hi = min(lo + BLOCK, M)
         z = np.exp(1j * uniform_angles(seed, hi - lo, start=lo))
         out[lo:hi] = _accumulate(f, coeffs, z, start_power) / scale
+    out.flags.writeable = False
     return out
 
 
@@ -162,16 +172,21 @@ def _ks_normal(x: np.ndarray, sd: float) -> float:
     """Two-sided KS distance of the samples x from N(0, sd^2).
 
     The same arithmetic as scipy.stats.kstest(x, "norm", args=(0, sd))
-    before its p-value, so the statistic agrees bit for bit.  scipy is
-    imported here, so importing innerclt loads numpy only.
+    before its p-value, and `ndtr_sorted` is scipy.special.ndtr bit for
+    bit, so the statistic agrees bit for bit without importing scipy.
+    After one sort the column is walked BLOCK rows at a time: the CDF, i/n
+    and both one-sided distances exist for one block only, and a maximum
+    does not depend on how the rows are grouped.
     """
-    from scipy.special import ndtr
-
-    cdf = ndtr(np.sort(x) / sd)
-    n = len(cdf)
-    d_plus = np.max(np.arange(1.0, n + 1) / n - cdf)
-    d_minus = np.max(cdf - np.arange(0.0, n) / n)
-    return float(max(d_plus, d_minus))
+    s = np.sort(x)
+    n = len(s)
+    d_plus, d_minus = [], []
+    for lo in range(0, n, BLOCK):
+        hi = min(lo + BLOCK, n)
+        cdf = ndtr_sorted(s[lo:hi] / sd)
+        d_plus.append(np.max(np.arange(lo + 1.0, hi + 1.0) / n - cdf))
+        d_minus.append(np.max(cdf - np.arange(float(lo), hi) / n))
+    return float(max(np.max(d_plus), np.max(d_minus)))
 
 
 def gauss_report(dist: EmpiricalDistribution,
@@ -182,9 +197,11 @@ def gauss_report(dist: EmpiricalDistribution,
         raise InsufficientSamples(
             f"KS statistics need >= {KS_MIN_SAMPLES} samples, got {len(x)}")
     mean = complex(np.mean(x))
-    e_abs2 = float(np.mean(np.abs(x) ** 2))
     e_sq = complex(np.mean(x ** 2))
-    e_abs4 = float(np.mean(np.abs(x) ** 4))
+    r = np.abs(x)
+    e_abs2 = float(np.mean(r ** 2))
+    e_abs4 = float(np.mean(r ** 4))
+    del r  # freed before the KS sort
     ks_re = _ks_normal(x.real, TARGET_SD)
     ks_im = _ks_normal(x.imag, TARGET_SD)
     ks_noise = math.sqrt(math.log(2.0 / KS_NOISE_DELTA) / (2.0 * len(x)))

@@ -124,22 +124,33 @@ class DecayCheck:
     rows: tuple  # (k, q, phi, abs_value, bound_at_c1, within)
 
 
-def _signed_integral(f: BlaschkeProduct, signs, powers, tol: float) -> complex:
-    """int prod (f^{n_j})^{+-} dm, evaluated as int prod (f^{n_j - n_1})^{+-} dm.
+def _signed_integrand(f: BlaschkeProduct, signs, powers):
+    """z -> prod (f^{n_j}(z))^{+-}, the factors multiplied in order along the orbit.
 
-    powers are nondecreasing: the factors multiply in order along the orbit.
+    powers are nondecreasing.  A conjugated factor is a fresh temporary and
+    goes on the left of its product, as in the Blaschke kernel, so a point's
+    bits do not depend on how many points share the call.
     """
-    powers = tuple(n - powers[0] for n in powers)
     signs_at = {n: [s for s, m in zip(signs, powers) if m == n] for n in powers}
 
     def g(z):
         out = np.ones_like(z)
         for n, cur in enumerate(f.orbit(z, powers[-1])):
             for s in signs_at.get(n, ()):
-                out = out * (cur if s > 0 else np.conj(cur))
+                out = out * cur if s > 0 else np.conj(cur) * out
         return out
 
-    return _budgeted_integral(g, sum(f.degree ** n for n in powers), tol)
+    return g
+
+
+def _signed_integral(f: BlaschkeProduct, signs, powers, tol: float) -> complex:
+    """int prod (f^{n_j})^{+-} dm, evaluated as int prod (f^{n_j - n_1})^{+-} dm.
+
+    powers are nondecreasing: the factors multiply in order along the orbit.
+    """
+    powers = tuple(n - powers[0] for n in powers)
+    return _budgeted_integral(_signed_integrand(f, signs, powers),
+                              sum(f.degree ** n for n in powers), tol)
 
 
 def pair_correlation(f: BlaschkeProduct, k: int, j: int,

@@ -12,7 +12,7 @@ from innerclt import clt
 from innerclt.blaschke import (BlaschkeProduct, CirclePoint, fit_size_bound_exponent,
                                iterate_derivative_on_circle, jet_of_iterate,
                                monomial)
-from innerclt.quadrature import uniform_angles
+from innerclt.quadrature import circle_grid, uniform_angles
 
 DEG2_HALF = BlaschkeProduct(zeros=(0.0, 0.5))
 DEG3_MIXED = BlaschkeProduct(zeros=(0.0, 0.3 + 0.4j, -0.2j),
@@ -213,7 +213,9 @@ class TestOrbitKernel:
         ref = self.reference_orbit(f, z)
         expected = np.ones_like(z)
         for cur in ref[:-1]:
-            expected = expected * f.derivative(cur)
+            # the fresh factor on the left, so the product's operand order
+            # does not hinge on numpy reusing a temporary in place
+            expected = f.derivative(cur) * expected
         assert np.array_equal(iterate_derivative_on_circle(f, z, self.STEPS), expected)
 
     @pytest.mark.parametrize("size", [1000, 2 ** 15])
@@ -244,6 +246,16 @@ class TestOrbitKernel:
                                      for lo in range(0, stop, size)])
             assert np.array_equal(sliced, whole[:len(sliced)]), size
 
+    @pytest.mark.parametrize("f", [DEG2_HALF, DEG3_MIXED])
+    def test_iterate_derivative_bits_do_not_depend_on_batch_length(self, f):
+        # the 2^15-point quadrature grid (512 KiB, where numpy reuses
+        # temporaries in place) against its 8192-point slices
+        z = circle_grid(2 ** 15)
+        whole = iterate_derivative_on_circle(f, z, self.STEPS)
+        sliced = np.concatenate([iterate_derivative_on_circle(f, z[lo:lo + 8192], self.STEPS)
+                                 for lo in range(0, len(z), 8192)])
+        assert np.array_equal(sliced, whole)
+
     @pytest.mark.parametrize("f", MAPS)
     def test_scalar_orbit_steps_in_python_complex(self, f):
         # a 0-d point steps as complex(f(z)) / np.abs(f(z)), Python complex division
@@ -258,7 +270,7 @@ class TestOrbitKernel:
             assert f.boundary_iterates(z, self.STEPS)[self.STEPS] == ref[-1]
             expected = np.ones_like(z)
             for cur in ref[:-1]:
-                expected = expected * f.derivative(cur)
+                expected = f.derivative(cur) * expected
             assert iterate_derivative_on_circle(f, z, self.STEPS) == expected
             coeffs = np.array([1.0, 0.5j])
             assert clt._accumulate(f, coeffs, z) == ref[1] + coeffs[1] * ref[2]

@@ -1,6 +1,7 @@
 """Sampling of normalized iterate sums and Gaussianity diagnostics."""
 
 import cmath
+import json
 import math
 import subprocess
 import sys
@@ -10,12 +11,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import ndtr
 
 import innerclt
 from innerclt import clt
 from innerclt.blaschke import BlaschkeProduct, CirclePoint, monomial
 from innerclt.clt import (BLOCK, EmpiricalDistribution, Tolerances, _accumulate,
                           _ks_normal, gauss_report, sample_T, simulate, tails_run)
+from innerclt._ndtr import SQRT1_2, _X_UNDER, _exp_neg_square, ndtr_sorted
 from innerclt.errors import HeavyTruncation, InsufficientSamples
 from innerclt.quadrature import integrate, uniform_angles
 from innerclt.variance import (CoefficientSequence, asymptotic_sigma_squared,
@@ -128,17 +131,27 @@ class TestBlockedSampling:
         ref = self.whole_array(f, a.array()[5:], M, 12, scale, start_power=6)
         assert np.array_equal(seen[0].array(), ref)
 
-    @pytest.mark.parametrize("M", [60_000, 2 ** 18])
-    def test_memory_does_not_grow_with_M(self, M):
-        # the samples, their read-only copy and one block's orbit arrays;
-        # a whole-array orbit would hold about 7 sample-sized arrays
+    @staticmethod
+    def peak_ratio(M):
+        """Peak traced bytes of simulate over the bytes of its samples."""
         tracemalloc.start()
         try:
             dist = simulate(DEG2_HALF, ONES, 14, M, seed=13)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.5 * dist.array().nbytes
+        return peak / dist.array().nbytes
+
+    @pytest.mark.parametrize("M", [60_000, 2 ** 18])
+    def test_memory_does_not_grow_with_M(self, M):
+        # the samples and one block's orbit arrays; a whole-array orbit
+        # would hold about 7 sample-sized arrays
+        assert self.peak_ratio(M) <= 2.5
+
+    def test_samples_are_not_copied(self):
+        # one samples array plus one block's orbit arrays (about 1 MiB);
+        # a second copy of the samples would read 2.0
+        assert self.peak_ratio(2 ** 18) <= 1.25
 
 
 class TestKsNormal:
@@ -155,6 +168,11 @@ class TestKsNormal:
         for col in (x.real, x.imag, np.round(x.real, 2)):
             assert _ks_normal(col, 0.5) == self._reference(col).statistic
 
+    @pytest.mark.parametrize("M", [1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 200_000])
+    def test_lengths_around_the_block(self, M):
+        x = np.random.default_rng(M).normal(0.02, 0.5, M)
+        assert _ks_normal(x, 0.5) == self._reference(x).statistic
+
     @pytest.mark.parametrize("x", [[0.3], [-0.2, 0.7], [0.1, -1.0, 0.1]])
     def test_tiny_samples(self, x):
         x = np.array(x)
@@ -170,15 +188,87 @@ class TestKsNormal:
         assert _ks_normal(x, 0.5) == ref.statistic
 
 
-def test_import_loads_no_scipy():
-    # scipy is imported only when a KS statistic is computed
+class TestNdtr:
+    """ndtr_sorted against scipy.special.ndtr, bit for bit."""
+
+    @staticmethod
+    def assert_matches(a):
+        a = np.sort(np.asarray(a, dtype=float))
+        got, ref = ndtr_sorted(a), ndtr(a)
+        assert np.array_equal(got, ref, equal_nan=True)
+        # the same zero: 0.0 and -0.0 compare equal
+        assert np.array_equal(np.signbit(got), np.signbit(ref))
+
+    # branch edges on a: 1 and sqrt(2) (erf / erfc), 8 sqrt(2) (P/Q / R/S),
+    # near 37.7 (erfc underflows to 0)
+    @pytest.mark.parametrize("edge", [SQRT1_2, 1.0, 8.0, _X_UNDER])
+    def test_neighbours_of_branch_edges(self, edge):
+        a = edge / SQRT1_2
+        below = [a]
+        above = [a]
+        for _ in range(64):
+            below.append(np.nextafter(below[-1], -np.inf))
+            above.append(np.nextafter(above[-1], np.inf))
+        a = np.array(below + above)
+        x = a * SQRT1_2
+        assert (x < edge).any() and (x >= edge).any()  # the edge is inside
+        self.assert_matches(np.concatenate([a, -a]))
+
+    @pytest.mark.parametrize("scale", [0.5, 1.0, 2.0, 10.0])
+    def test_random_normals(self, scale):
+        self.assert_matches(np.random.default_rng(int(scale * 10)).normal(0.0, scale, 200_000))
+
+    def test_special_values(self):
+        self.assert_matches([0.0, -0.0, np.inf, -np.inf, np.nan, np.nan, 5e-324, -5e-324])
+
+    def test_exponential_is_libm(self):
+        # math.exp is libm's exp; numpy's float64 SIMD exp differs in the last bit
+        x = np.linspace(1.0, _X_UNDER, 100_003)
+        ref = np.array([math.exp(-(v * v)) for v in x])
+        assert np.array_equal(_exp_neg_square(x), ref)
+
+
+SIM_CONFIGS = {
+    "main": {"map": {"zeros": [[0.0, 0.0], [0.5, 0.0]]}, "coefficients": {"kind": "ones"},
+             "N": 8, "samples": 20_000, "seed": 3, "mode": "main"},
+    "tail": {"map": {"zeros": [[0.0, 0.0], [0.0, 0.0]]},
+             "coefficients": {"kind": "geometric", "ratio": 0.5, "length": 24},
+             "N": 6, "samples": 20_000, "seed": 4, "mode": "tail"},
+}
+
+
+def run_python(code, *args):
     src = str(Path(innerclt.__file__).resolve().parent.parent)
+    return subprocess.run([sys.executable, "-c", code, src, *args], check=True,
+                          capture_output=True, text=True).stdout
+
+
+def test_import_loads_no_scipy():
     code = ("import sys; sys.path.insert(0, sys.argv[1]); "
             "import innerclt, innerclt.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", code, src], check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    assert run_python(code).strip() == "[]"
+
+
+@pytest.mark.parametrize("mode", sorted(SIM_CONFIGS))
+def test_clt_simulate_needs_no_scipy(tmp_path, mode):
+    # whole clt simulate runs, KS statistics included, in fresh processes:
+    # one loads no scipy module, one runs with scipy made unimportable, and
+    # both write the same report
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(SIM_CONFIGS[mode]))
+    reports = []
+    for block in ("", "sys.modules['scipy'] = None; "):
+        out = tmp_path / f"out{len(reports)}"
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); " + block +
+                "from innerclt import cli; "
+                "cli.main(['clt', 'simulate', '--config', sys.argv[2], '--out', sys.argv[3]]); "
+                "print(sorted(m for m, mod in sys.modules.items() "
+                "if m.split('.')[0] == 'scipy' and mod is not None))")
+        assert run_python(code, str(config), str(out)).splitlines()[-1] == "[]"
+        reports.append((out / "report.json").read_bytes())
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["config"]["mode"] == mode
 
 
 class TestQuadratureInvariants:
@@ -223,6 +313,25 @@ class TestGaussReport:
         with pytest.raises(ValueError):
             EmpiricalDistribution(np.zeros((2, 3)), N=1, M=6, seed=0,
                                   normalization="main")
+
+    def test_read_only_array_is_held_without_copy(self):
+        src = np.arange(5, dtype=complex)
+        src.flags.writeable = False
+        dist = EmpiricalDistribution(src, N=1, M=5, seed=0, normalization="main")
+        assert dist.array() is src
+        # the array simulate and tails_run hand over
+        values = clt._sample(monomial(2), ONES.array(4), 1000, 0, 1.0)
+        assert EmpiricalDistribution(values, N=4, M=1000, seed=0,
+                                     normalization="main").array() is values
+
+    def test_read_only_view_of_writable_array_is_copied(self):
+        base = np.arange(6, dtype=complex)
+        view = base[1:]
+        view.flags.writeable = False
+        dist = EmpiricalDistribution(view, N=1, M=5, seed=0, normalization="main")
+        base[1] = 7.0
+        assert np.array_equal(dist.array(), np.arange(1, 6))
+        assert not np.shares_memory(dist.array(), base)
 
     def test_insufficient_samples(self):
         dist = EmpiricalDistribution((0j,) * 100, N=1, M=100, seed=0,

@@ -10,16 +10,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from innerclt.blaschke import BlaschkeProduct, monomial
-from innerclt.correlations import (BlockSum, CorrelationSpec,
+from innerclt.correlations import (BlockSum, CorrelationSpec, _signed_integrand,
                                    block_product_factorization, decay_check,
                                    four_factor, higher_correlation,
                                    iterate_pair_integral, pair_correlation,
                                    phi_exponent)
 from innerclt.errors import BudgetExceeded, SeparationViolation, ShapeMismatch
-from innerclt.quadrature import degree_aware_grid, integrate
+from innerclt.quadrature import circle_grid, degree_aware_grid, integrate
 
 DEG2_HALF = BlaschkeProduct(zeros=(0.0, 0.5))
 DEG2_COMPLEX = BlaschkeProduct(zeros=(0.0, 0.3 + 0.3j))
+DEG3_MIXED = BlaschkeProduct(zeros=(0.0, 0.3 + 0.4j, -0.2j))
 PARITY_TOL = 1e-14
 
 
@@ -314,6 +315,18 @@ class TestShiftReach:
         assert pair_correlation(DEG2_HALF, 30, 31).residual <= 1e-9
         with pytest.raises(BudgetExceeded):
             pair_correlation(DEG2_HALF, 2, 31)
+
+
+@pytest.mark.parametrize("f", [DEG2_HALF, DEG3_MIXED], ids=["deg2-half", "deg3-mixed"])
+@pytest.mark.parametrize("signs,powers", [((-1, 1), (0, 3)), ((1, -1, 1, -1), (0, 1, 3, 4)),
+                                          ((-1, -1, 1, 1), (0, 2, 2, 5))])
+def test_integrand_bits_do_not_depend_on_batch_length(f, signs, powers):
+    # the 2^15-point quadrature grid (512 KiB, where numpy reuses
+    # temporaries in place) against its 8192-point slices
+    g = _signed_integrand(f, signs, powers)
+    z = circle_grid(2 ** 15)
+    sliced = np.concatenate([g(z[lo:lo + 8192]) for lo in range(0, len(z), 8192)])
+    assert np.array_equal(sliced, g(z))
 
 
 class TestPhiExponent:
