@@ -5,8 +5,8 @@ formulas for coefficient sequences, and Monte Carlo verification of the
 Gaussian limit of normalized iterate sums.
 """
 
-from .blaschke import (BlaschkeProduct, CirclePoint, TaylorJet, jet_of_iterate,
-                       iterate_derivative_on_circle, monomial)
+from .blaschke import (BlaschkeProduct, CirclePoint, TaylorJet,
+                       iterate_derivative_on_circle, monomial, taylor_table)
 from .clark import (ClarkMeasure, clark_measure, check_first_moment,
                     check_second_moment, desintegrate)
 from .clt import (EmpiricalDistribution, GaussFitReport, Tolerances,

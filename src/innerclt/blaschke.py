@@ -25,6 +25,9 @@ ZERO_MODULUS_CAP = 1.0 - 1e-12
 ROTATION_TOL = 1e-14
 POLE_GUARD = 1e-12
 RADIUS_SLACK = 1e-9
+ITERATION_CAP = 64
+SIZE_FIT_MAX_EXPONENT = 32
+SIZE_FIT_MAX_POWER = 20
 
 
 @dataclass(frozen=True)
@@ -179,17 +182,26 @@ class BlaschkeProduct:
             out = out + (1.0 - abs(a) ** 2) / np.abs(z - a) ** 2
         return out
 
+    def _series(self, order: int) -> list:
+        """[z^k] f for k = 0 .. order, built factor by factor from the zeros.
+
+        A series r times (a - z) / (1 - conj(a) z) is the h with
+        h (1 - conj(a) z) = r (a - z): h_k = r_k a - r_{k-1} + conj(a) h_{k-1}.
+        The rotation multiplies last, so f'(0) = rot * (a_1 a_2 ...).
+        """
+        m = self._origin_multiplicity
+        rest = [1.0 + 0j] + [0j] * (order - m) if m <= order else []
+        for a in self._nonzero_zeros:
+            conj_a, r_prev, h = a.conjugate(), 0j, 0j
+            for k, r in enumerate(rest):
+                h = r * a - r_prev + conj_a * h
+                r_prev, rest[k] = r, h
+        return [0j] * min(m, order + 1) + [self.rotation * r for r in rest]
+
     def taylor_at_zero(self) -> TaylorJet:
-        """Closed-form (c1, c2) = (f'(0), f''(0)/2) from the zero data."""
-        m = self.origin_multiplicity
-        b0 = complex(np.prod([a for a in self.nonzero_zeros])) if self.nonzero_zeros else 1.0 + 0j
-        if m >= 3:
-            return TaylorJet(0.0 + 0j, 0.0 + 0j)
-        if m == 2:
-            return TaylorJet(0.0 + 0j, self.rotation * b0)
-        # m == 1: c1 = rot * B(0), c2 = rot * B'(0)
-        b1 = b0 * sum((abs(a) ** 2 - 1.0) / a for a in self.nonzero_zeros)
-        return TaylorJet(self.rotation * b0, self.rotation * b1)
+        """(c1, c2) = (f'(0), f''(0)/2), read from the series of f."""
+        _, c1, c2 = self._series(2)
+        return TaylorJet(c1, c2)
 
     # -- boundary dynamics --------------------------------------------------
 
@@ -221,11 +233,11 @@ class BlaschkeProduct:
         """All f^1 .. f^{n_max} at the given circle points, keyed by n."""
         return {n: cur for n, cur in enumerate(self.orbit(z, n_max)) if n}
 
-    def iterate_boundary(self, p: CirclePoint, n: int, max_steps: int = 64) -> CirclePoint:
+    def iterate_boundary(self, p: CirclePoint, n: int) -> CirclePoint:
         if n < 0:
             raise ValueError("iteration count must be non-negative")
-        if n > max_steps:
-            raise ValueError(f"iteration count {n} exceeds cap {max_steps}")
+        if n > ITERATION_CAP:
+            raise ValueError(f"iteration count {n} exceeds cap {ITERATION_CAP}")
         if n == 0:
             return p
         z = self.boundary_orbit(np.asarray(p.value), n)
@@ -260,21 +272,23 @@ def monomial(power: int) -> BlaschkeProduct:
     return BlaschkeProduct(zeros=(0.0 + 0j,) * power)
 
 
-def jet_of_iterate(f: BlaschkeProduct, n: int) -> TaylorJet:
-    """Taylor jet of f^n at 0, by jet composition.
+def taylor_table(f: BlaschkeProduct, power: int, order: int) -> np.ndarray:
+    """The (order+1)^2 matrix C[k, j] = [z^k] (f^power)^j.
 
-    g = f o h gives g'(0) = c1 h'(0) and g''(0)/2 = c2 h'(0)^2 + c1 h''(0)/2.
+    Column j of the table of f is the j-th power of f's series, truncated
+    after z^order.  The table of f o g is C_g @ C_f, so the table of f^power
+    is the power-th matrix power of the table of f.
     """
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if n == 0:
-        return TaylorJet(1.0 + 0j, 0.0 + 0j)
-    jet = f.taylor_at_zero()
-    c1, c2 = jet.c1, jet.c2
-    h1, h2 = c1, c2
-    for _ in range(n - 1):
-        h1, h2 = c1 * h1, c2 * h1 ** 2 + c1 * h2
-    return TaylorJet(h1, h2)
+    if power < 0:
+        raise ValueError("power must be non-negative")
+    if order < 0:
+        raise ValueError("order must be non-negative")
+    series = np.array(f._series(order))
+    table = np.zeros((order + 1, order + 1), dtype=complex)
+    table[0, 0] = 1.0
+    for j in range(1, order + 1):
+        table[:, j] = np.convolve(table[:, j - 1], series)[:order + 1]
+    return np.linalg.matrix_power(table, power)
 
 
 def iterate_derivative_on_circle(f: BlaschkeProduct, z, n: int):
@@ -289,8 +303,7 @@ def iterate_derivative_on_circle(f: BlaschkeProduct, z, n: int):
     return out
 
 
-def fit_size_bound_exponent(f: BlaschkeProduct, d_max: int = 32,
-                            n_max: int = 20, radii=None) -> int:
+def fit_size_bound_exponent(f: BlaschkeProduct) -> int:
     """Smallest d with |f^n(w)| < |f'(0)|^n (1-|w|)^{-d} on a radius sweep.
 
     Requires 0 < |f'(0)| < 1.  The fitted d is then usable as a global
@@ -299,19 +312,15 @@ def fit_size_bound_exponent(f: BlaschkeProduct, d_max: int = 32,
     a = abs(f.taylor_at_zero().c1)
     if not 0.0 < a < 1.0:
         raise ValueError("size bound requires 0 < |f'(0)| < 1")
-    if radii is None:
-        radii = np.linspace(0.05, 0.95, 19)
+    radii = np.linspace(0.05, 0.95, 19)
     angles = np.linspace(0.0, TWO_PI, 24, endpoint=False)
     w = (radii[:, None] * np.exp(1j * angles[None, :])).ravel()
-    for d in range(1, d_max + 1):
-        ok = True
-        cur = w.copy()
-        for n in range(1, n_max + 1):
-            cur = f(cur)
-            bound = a ** n * (1.0 - np.abs(w)) ** (-d)
-            if np.any(np.abs(cur) >= bound):
-                ok = False
-                break
-        if ok:
+    iterates = [f(w)]
+    for _ in range(SIZE_FIT_MAX_POWER - 1):
+        iterates.append(f(iterates[-1]))
+    sizes = np.abs(iterates)
+    scale = a ** np.arange(1, SIZE_FIT_MAX_POWER + 1)[:, None]
+    for d in range(1, SIZE_FIT_MAX_EXPONENT + 1):
+        if np.all(sizes < scale * (1.0 - np.abs(w)) ** (-d)):
             return d
-    raise ValueError(f"no exponent d <= {d_max} satisfies the size bound")
+    raise ValueError(f"no exponent d <= {SIZE_FIT_MAX_EXPONENT} satisfies the size bound")

@@ -5,6 +5,8 @@ measure mu_alpha is purely atomic: its atoms are the deg(f) boundary
 solutions of f(zeta) = alpha, each carrying weight 1 / |f'(zeta)|.  The
 atoms of f^n are found by pulling alpha back n times through the d inverse
 branches of f, each level an algebraic root solve on the circle.
+Since f(0) = 0 the moments are Taylor coefficients, int conj(zeta)^l d mu_alpha
+= sum_j conj(alpha)^j [z^l] (f^n)^j, row l of `blaschke.taylor_table` of f^n.
 """
 
 from __future__ import annotations
@@ -13,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blaschke import TWO_PI, BlaschkeProduct, CirclePoint, jet_of_iterate
-from .errors import BudgetExceeded, NonConvergence, RootBracketFailure
-from .quadrature import _budgeted_integral, integrate
+from .blaschke import TWO_PI, BlaschkeProduct, CirclePoint, taylor_table
+from .errors import BudgetExceeded, RootBracketFailure
+from .quadrature import integrate
 
 ATOM_COUNT_CAP = 4096
 NEWTON_STEPS = 3
@@ -154,21 +156,20 @@ def clark_measure(f: BlaschkeProduct, alpha: CirclePoint, power: int = 1) -> Cla
                         source_degree=solver.total_degree)
 
 
+def _moment_residual(f: BlaschkeProduct, alpha: CirclePoint, power: int, ell: int) -> float:
+    """|int z^ell d mu_alpha - its Taylor-table value| for the measures of f^power."""
+    target = moment_polynomial(f, power, -ell).eval_at(alpha.value)
+    return abs(clark_measure(f, alpha, power).moment(ell) - target)
+
+
 def check_first_moment(f: BlaschkeProduct, alpha: CirclePoint, power: int = 1) -> float:
     """Residual of int z d mu_alpha = conj(f'(0)) alpha for f^power."""
-    mu = clark_measure(f, alpha, power)
-    jet = jet_of_iterate(f, power)
-    target = np.conj(jet.c1) * alpha.value
-    return abs(mu.moment(1) - target)
+    return _moment_residual(f, alpha, power, 1)
 
 
 def check_second_moment(f: BlaschkeProduct, alpha: CirclePoint, power: int = 1) -> float:
     """Residual of int z^2 d mu_alpha = conj(f''(0)/2) alpha + conj(f'(0))^2 alpha^2."""
-    mu = clark_measure(f, alpha, power)
-    jet = jet_of_iterate(f, power)
-    a = alpha.value
-    target = np.conj(jet.c2) * a + np.conj(jet.c1) ** 2 * a ** 2
-    return abs(mu.moment(2) - target)
+    return _moment_residual(f, alpha, power, 2)
 
 
 def desintegrate(f: BlaschkeProduct, observable, k_alpha: int = 512, power: int = 1):
@@ -188,24 +189,17 @@ def desintegrate(f: BlaschkeProduct, observable, k_alpha: int = 512, power: int 
     return double, abs(double - direct)
 
 
-def moment_polynomial(f: BlaschkeProduct, power: int, order: int,
-                      tol: float = 1e-12) -> MomentPolynomial:
+def moment_polynomial(f: BlaschkeProduct, power: int, order: int) -> MomentPolynomial:
     """Coefficients c_k = k-th alpha-coefficient of int conj(z)^order d mu_alpha.
 
-    The measures are those of f^power; c_k is the Taylor coefficient of
-    z^|order| in (f^power)^k, extracted by circle quadrature.
+    The measures are those of f^power; c_k = [z^|order|] (f^power)^k, row
+    |order| of the Taylor table of f^power.
     """
     if order == 0:
         raise ValueError("order must be nonzero")
     ell = abs(order)
-    coeffs = []
-    for k in range(1, ell + 1):
-        def g(z, k=k):
-            fn = f.boundary_orbit(z, power)
-            return fn ** k * np.conj(z) ** ell
-        c = _budgeted_integral(g, ell * (f.degree ** power) + ell, tol)
-        coeffs.append(c if order > 0 else np.conj(c))
-    return MomentPolynomial(order=order, coeffs=tuple(coeffs))
+    row = taylor_table(f, power, ell)[ell, 1:]
+    return MomentPolynomial(order=order, coeffs=tuple((row if order > 0 else row.conj()).tolist()))
 
 
 def check_moment_bound(f: BlaschkeProduct, power: int, order: int) -> MomentBoundCheck:
@@ -224,17 +218,14 @@ def check_moment_bound(f: BlaschkeProduct, power: int, order: int) -> MomentBoun
 def moment_bound_onset(f: BlaschkeProduct, power_values, order_cap: int = 3):
     """Smallest power from which the moment bound holds for all tested orders.
 
-    A power past the quadrature budget or convergence fails.  Returns None
-    if no tested power starts an all-pass suffix.  Only that suffix counts,
-    so the powers are checked from the top down until the first failure.
+    Returns None if no tested power starts an all-pass suffix.  Only that
+    suffix counts, so the powers are checked from the top down until the
+    first failure.
     """
     onset = None
     for n in sorted(power_values, reverse=True):
-        try:
-            if not all(check_moment_bound(f, n, ell).passed
-                       for ell in range(1, min(n, order_cap) + 1)):
-                break
-        except (BudgetExceeded, NonConvergence):
+        if not all(check_moment_bound(f, n, ell).passed
+                   for ell in range(1, min(n, order_cap) + 1)):
             break
         onset = n
     return onset

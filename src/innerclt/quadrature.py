@@ -18,6 +18,7 @@ TWO_PI = 2.0 * math.pi
 
 DEFAULT_MIN_GRID = 256
 DEFAULT_MAX_GRID = 2 ** 18
+INVARIANCE_QUAD_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -149,12 +150,9 @@ def mc_integrate(g, samples: int, seed: int) -> MonteCarloResult:
     return MonteCarloResult(value, samples, math.sqrt(var / samples), seed)
 
 
-def check_invariance(f, observable, tol: float = 1e-10,
-                     quad_tol: float = 1e-13,
-                     max_grid: int = DEFAULT_MAX_GRID) -> InvarianceCheck:
+def check_invariance(f, observable, tol: float = 1e-10) -> InvarianceCheck:
     """Residual of |int G(f(z)) dm - int G dm| against the invariance of m."""
-    direct = integrate(observable, tol=quad_tol, max_grid=max_grid)
-    composed = integrate(lambda z: observable(f.boundary_step(z)),
-                         tol=quad_tol, max_grid=max_grid)
+    direct = integrate(observable, tol=INVARIANCE_QUAD_TOL)
+    composed = integrate(lambda z: observable(f.boundary_step(z)), tol=INVARIANCE_QUAD_TOL)
     residual = abs(composed.value - direct.value)
     return InvarianceCheck(residual <= tol, residual)

@@ -10,13 +10,19 @@ from hypothesis import strategies as st
 
 from innerclt import clt
 from innerclt.blaschke import (BlaschkeProduct, CirclePoint, fit_size_bound_exponent,
-                               iterate_derivative_on_circle, jet_of_iterate,
-                               monomial)
+                               iterate_derivative_on_circle, monomial, taylor_table)
 from innerclt.quadrature import circle_grid, uniform_angles
 
 DEG2_HALF = BlaschkeProduct(zeros=(0.0, 0.5))
 DEG3_MIXED = BlaschkeProduct(zeros=(0.0, 0.3 + 0.4j, -0.2j),
                              rotation=cmath.exp(0.7j))
+
+
+def iterate(f, n, z):
+    """f^n(z) inside the disc, by n plain evaluations."""
+    for _ in range(n):
+        z = f(z)
+    return z
 
 
 def dft_taylor(f, order, radius=0.5, points=256):
@@ -114,18 +120,10 @@ class TestDerivativeAndJet:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_iterate_jet_against_cauchy_integral(self, n):
-        f = DEG2_HALF
-
-        def fn(z):
-            out = z
-            for _ in range(n):
-                out = f(out)
-            return out
-
-        c0, c1, c2 = dft_taylor(fn, 2)
-        jet = jet_of_iterate(f, n)
-        assert abs(jet.c1 - c1) < 1e-10
-        assert abs(jet.c2 - c2) < 1e-10
+        c0, c1, c2 = dft_taylor(lambda z: iterate(DEG2_HALF, n, z), 2)
+        table = taylor_table(DEG2_HALF, n, 2)
+        assert abs(table[1, 1] - c1) < 1e-10
+        assert abs(table[2, 1] - c2) < 1e-10
 
     @pytest.mark.parametrize("f", [monomial(2), DEG2_HALF, DEG3_MIXED,
                                    BlaschkeProduct(zeros=(0.0, 0.0, 0.4 + 0.3j),
@@ -145,6 +143,48 @@ class TestDerivativeAndJet:
         fd = (hi - lo) / (2 * h)
         deriv = iterate_derivative_on_circle(f, np.exp(1j * theta), 3)
         assert abs(complex(fd) - 1j * cmath.exp(1j * theta) * complex(deriv)) < 1e-6
+
+
+@st.composite
+def blaschke_products(draw):
+    """Up to three nonzero zeros with |a| <= 0.9, sometimes a rotation."""
+    zeros = [0.0] * draw(st.integers(1, 2))
+    for _ in range(draw(st.integers(0, 3))):
+        zeros.append(cmath.rect(draw(st.floats(0.05, 0.9)), draw(st.floats(0.0, 2 * math.pi))))
+    turn = draw(st.one_of(st.just(0.0), st.floats(0.0, 2 * math.pi)))
+    return BlaschkeProduct(zeros=tuple(zeros), rotation=cmath.exp(1j * turn))
+
+
+class TestTaylorTable:
+    """C[k, j] = [z^k] (f^n)^j, the Taylor data of iterates and Clark moments."""
+
+    @given(blaschke_products(), st.integers(0, 4), st.integers(0, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_cauchy_integral_of_iterate_powers(self, f, n, order):
+        table = taylor_table(f, n, order)
+        assert table.shape == (order + 1, order + 1)
+        for j in range(order + 1):
+            column = dft_taylor(lambda z: iterate(f, n, z) ** j, order)
+            assert np.allclose(table[:, j], column, rtol=0, atol=1e-12), j
+
+    @given(blaschke_products(), st.integers(0, 4), st.integers(0, 4), st.integers(0, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_table_of_composition_is_product(self, f, m, n, order):
+        product = taylor_table(f, m, order) @ taylor_table(f, n, order)
+        assert np.allclose(taylor_table(f, m + n, order), product, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("f", [monomial(2), DEG2_HALF, DEG3_MIXED,
+                                   BlaschkeProduct(zeros=(0.0, 0.0, 0.5))])
+    def test_jet_is_first_column(self, f):
+        jet = f.taylor_at_zero()
+        table = taylor_table(f, 1, 2)
+        assert np.allclose([jet.c1, jet.c2], table[1:, 1], rtol=0, atol=1e-15)
+
+    def test_rejects_negative_power_or_order(self):
+        with pytest.raises(ValueError):
+            taylor_table(DEG2_HALF, -1, 2)
+        with pytest.raises(ValueError):
+            taylor_table(DEG2_HALF, 2, -1)
 
 
 class TestBoundaryDynamics:

@@ -8,8 +8,7 @@ import pytest
 
 from innerclt import clark
 from innerclt.blaschke import (BlaschkeProduct, CirclePoint,
-                               iterate_derivative_on_circle, jet_of_iterate,
-                               monomial)
+                               iterate_derivative_on_circle, monomial)
 from innerclt.clark import (BoundaryAtomSolver, ClarkMeasure, check_first_moment,
                             check_moment_bound, check_second_moment,
                             clark_measure, desintegrate, moment_bound_onset,
@@ -213,11 +212,12 @@ class TestDesintegration:
 
 class TestMomentPolynomial:
     def test_first_coefficient_is_iterate_derivative(self):
-        # order 1: int conj(z) d mu_alpha = conj over first Taylor coefficient
+        # order 1: the one coefficient is (f^n)'(0) = f'(0)^n
+        c1 = DEG2_HALF.taylor_at_zero().c1
         for power in (1, 2, 3):
             poly = moment_polynomial(DEG2_HALF, power, 1)
             assert len(poly.coeffs) == 1
-            assert abs(poly.coeffs[0] - jet_of_iterate(DEG2_HALF, power).c1) < 1e-10
+            assert abs(poly.coeffs[0] - c1 ** power) < 1e-15
 
     def test_eval_matches_atomic_moment(self):
         alpha = CirclePoint(1.7)
@@ -230,9 +230,9 @@ class TestMomentPolynomial:
         assert check.vacuous
         assert check.passed
 
-    def test_onset_past_the_budget(self, monkeypatch):
-        # powers 14 and 15 raise BudgetExceeded, which counts as failing;
-        # the walk from the top stops at power 15, before powers 1-13
+    def test_onset_walks_down_to_the_first_failure(self, monkeypatch):
+        # the walk from the top checks every power from 15 down to 3,
+        # where the bound first fails
         tried = []
 
         def spy(f, power, order):
@@ -240,8 +240,23 @@ class TestMomentPolynomial:
             return check_moment_bound(f, power, order)
 
         monkeypatch.setattr(clark, "check_moment_bound", spy)
-        assert moment_bound_onset(DEG2_HALF, range(1, 16)) is None
-        assert tried == [15]
+        assert moment_bound_onset(DEG2_HALF, range(1, 16)) == 4
+        assert list(dict.fromkeys(tried)) == list(range(15, 2, -1))
+        assert not all(check_moment_bound(DEG2_HALF, 3, order).passed for order in (1, 2, 3))
+
+    # deg2-half at powers 11 and 12 and a rotated complex-zero map at 12:
+    # circle quadrature of these moments does not converge on its
+    # 2^18-point grid, the Taylor table has no such limit
+    @pytest.mark.parametrize("f, power", [
+        (DEG2_HALF, 11), (DEG2_HALF, 12),
+        (BlaschkeProduct(zeros=(0.0, 0.3 + 0.4j), rotation=cmath.exp(0.9j)), 12)])
+    def test_table_moments_match_atoms_at_high_power(self, f, power):
+        for theta in (0.4, 2.9):
+            alpha = CirclePoint(theta)
+            mu = clark_measure(f, alpha, power)
+            for ell in (1, 2, 3):
+                target = moment_polynomial(f, power, -ell).eval_at(alpha.value)
+                assert abs(mu.moment(ell) - target) < 1e-12, ell
 
     def test_bound_eventually_holds(self):
         onset = moment_bound_onset(DEG2_HALF, range(1, 8), order_cap=2)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from innerclt import quadrature
 from innerclt.blaschke import BlaschkeProduct, monomial
-from innerclt.clark import moment_polynomial
 from innerclt.correlations import pair_correlation
 from innerclt.errors import BudgetExceeded, NonConvergence
 from innerclt.quadrature import (DEFAULT_MAX_GRID, check_invariance, circle_grid,
@@ -156,10 +155,6 @@ class TestNestedDoubling:
         with pytest.raises(ValueError, match="min_grid exceeds max_grid"):
             integrate(lambda z: z, min_grid=2 ** 19)
 
-    def test_invariance_check_below_default_min_grid_raises(self):
-        with pytest.raises(ValueError, match="min_grid exceeds max_grid"):
-            check_invariance(monomial(2), lambda z: np.real(z) ** 2, max_grid=128)
-
 
 class TestGridHelpers:
     def test_circle_grid_on_circle(self):
@@ -197,8 +192,7 @@ class TestGridBudget:
     @pytest.mark.parametrize("call", [
         lambda: pair_correlation(DEG2_HALF, 1, 15),
         lambda: l2_identity_check(DEG2_HALF, CoefficientSequence.ones(14), 14),
-        lambda: moment_polynomial(DEG2_HALF, 14, 1),
-    ], ids=["pair(1,15)", "l2(N=14)", "moment(power=14)"])
+    ], ids=["pair(1,15)", "l2(N=14)"])
     def test_start_at_cap_raises_before_integrating(self, start_grids, call):
         with pytest.raises(BudgetExceeded):
             call()
