@@ -9,14 +9,9 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import json
-import os
-import shutil
-import subprocess
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -32,12 +27,6 @@ from .quadrature import check_invariance
 from .variance import (CoefficientSequence, asymptotic_sigma_squared,
                        growth_condition, l2_identity_check, quasiorthogonality,
                        sigma_N_squared, split_plan, toeplitz_sandwich)
-
-# A chunk of 20 000 rows takes ~20 ms to format, twice what a child
-# interpreter (-I -S) takes to start.
-MIN_CHUNK_ROWS = 20_000
-_ROWS_CHILD = (sys.executable, "-I", "-S", _csvrows.__file__)
-
 
 def _test_maps():
     return {
@@ -69,60 +58,19 @@ def _write_csv(path, header, rows):
         writer.writerows(rows)
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity API on this platform
-        return os.cpu_count() or 1
-
-
 def _write_samples_csv(path, samples: np.ndarray):
     """samples.csv: the bytes csv.writer gives for the header ("re", "im")
-    and one (re, im) row per sample.
-
-    The rows are split into contiguous chunks, one per usable CPU and at
-    most one per MIN_CHUNK_ROWS rows.  This process formats chunk 0 while
-    child interpreters (`_csvrows.py`) format the others, and the chunks are
-    written in row order.  Every process formats and writes its chunk
-    `_csvrows.BLOCK` rows at a time, so no chunk's text is held whole; a
-    child's raw input and rows are spooled to unnamed files in the directory
-    of `path`.  A child that fails
-    raises CalledProcessError and leaves no samples.csv.
+    and one (re, im) row per sample, formatted and written `BLOCK` rows at
+    a time by `_csvrows.write_rows`.  A failed write leaves no samples.csv.
     """
     flat = np.ascontiguousarray(samples, dtype=np.complex128).view(np.float64)
-    m = len(flat) // 2
-    chunks = max(1, min(_usable_cpus(), m // MIN_CHUNK_ROWS))
-    bounds = [2 * (m * k // chunks) for k in range(chunks + 1)]
-    procs = []  # (child, the file it writes its rows to)
-    spool = Path(path).parent
-    with contextlib.ExitStack() as files:
-        try:
-            for lo, hi in zip(bounds[1:], bounds[2:]):
-                # Files, unlike pipes, take a child's input before it starts
-                # and its rows before this process reads them, so neither
-                # side waits for the other.  They sit next to samples.csv,
-                # on the disk that is to hold those rows anyway.
-                text = files.enter_context(tempfile.TemporaryFile(dir=spool))
-                with tempfile.TemporaryFile(dir=spool) as raw:
-                    raw.write(flat[lo:hi].data)
-                    raw.seek(0)
-                    procs.append((subprocess.Popen(_ROWS_CHILD, stdin=raw,
-                                                   stdout=text), text))
-            with open(path, "wb") as fh:
-                fh.write(b"re,im\r\n")
-                _csvrows.write_rows(flat[:bounds[1]], fh.write)
-                for proc, text in procs:
-                    if proc.wait() != 0:
-                        raise subprocess.CalledProcessError(proc.returncode, proc.args)
-                    text.seek(0)
-                    shutil.copyfileobj(text, fh)
-        except BaseException:
-            Path(path).unlink(missing_ok=True)
-            raise
-        finally:
-            for proc, _ in procs:
-                proc.kill()  # skips a child that has exited
-                proc.wait()
+    try:
+        with open(path, "wb") as fh:
+            fh.write(b"re,im\r\n")
+            _csvrows.write_rows(flat, fh.write)
+    except BaseException:
+        Path(path).unlink(missing_ok=True)
+        raise
 
 
 # -- verify suites ----------------------------------------------------------

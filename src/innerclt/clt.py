@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._csvrows import BLOCK
 from ._ndtr import ndtr_sorted
 from .blaschke import BlaschkeProduct, CirclePoint
 from .errors import HeavyTruncation, InsufficientSamples
@@ -28,6 +27,8 @@ TARGET_SD = 0.5     # per-coordinate standard deviation
 KS_MIN_SAMPLES = 10_000
 KS_NOISE_DELTA = 0.05  # failure probability of the DKW band reported as ks_noise
 DEFAULT_TRUNCATION_TOL = 1e-6
+# Samples per block of the orbit walk, the KS walk and the CSV writer.
+BLOCK = 8192
 
 
 @dataclass(frozen=True)

@@ -3,13 +3,12 @@
 import csv
 import json
 import subprocess
-import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from innerclt import cli
+from innerclt import _csvrows
 from innerclt.blaschke import monomial
 from innerclt.cli import _write_samples_csv, coefficients_from_config, main
 from innerclt.clt import BLOCK, simulate
@@ -135,19 +134,30 @@ class TestSimulateCommand:
         assert report["config"]["mode"] == "tail"
         assert not (out_dir / "samples.csv").exists()
 
-    def test_failed_formatter_child_leaves_no_outputs(self, tmp_path, monkeypatch):
+    def test_failed_formatter_leaves_no_outputs(self, tmp_path, monkeypatch):
         cfg = self._write_config(tmp_path)
         out_dir = tmp_path / "out"
         main(["clt", "simulate", "--config", str(cfg), "--out", str(out_dir)])
         # a failed run leaves none of the earlier run's outputs standing
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(cli, "MIN_CHUNK_ROWS", 1000)
-        monkeypatch.setattr(cli, "_ROWS_CHILD",
-                            (sys.executable, "-c", "import sys; sys.exit(3)"))
-        with pytest.raises(subprocess.CalledProcessError):
+        monkeypatch.setattr(_csvrows, "rows", _fails_after_one_block())
+        with pytest.raises(OSError, match="formatter failed"):
             main(["clt", "simulate", "--config", str(cfg), "--out", str(out_dir)])
         assert not (out_dir / "report.json").exists()
         assert not (out_dir / "samples.csv").exists()
+
+
+def _fails_after_one_block():
+    """A row formatter that formats one block, then raises."""
+    rows = _csvrows.rows
+    calls = []
+
+    def formatter(values):
+        calls.append(len(values))
+        if len(calls) > 1:
+            raise OSError("formatter failed")
+        return rows(values)
+
+    return formatter
 
 
 class TestSamplesCsv:
@@ -168,27 +178,14 @@ class TestSamplesCsv:
             writer.writerows(zip(samples.real.tolist(), samples.imag.tolist()))
         return path.read_bytes()
 
-    @pytest.fixture
-    def children(self, monkeypatch):
-        """The children the writer starts (a spy on subprocess.Popen)."""
-        started = []
-        popen = subprocess.Popen
-
-        def spy(*args, **kwargs):
-            started.append(popen(*args, **kwargs))
-            return started[-1]
-
-        monkeypatch.setattr(cli.subprocess, "Popen", spy)
-        return started
-
-    def _edge_samples(self, m, chunks):
+    def _edge_samples(self, m):
         """m simulated samples with the edge values on both sides of every
-        chunk boundary and at the end."""
+        block boundary and at the end."""
         samples = simulate(monomial(2), CoefficientSequence.ones(12), 12,
                            m, seed=42).array().copy()
         k = len(self.EDGE)
         before = self._complex(self.EDGE, self.EDGE[::-1])
-        for b in [m * j // chunks for j in range(1, chunks)]:
+        for b in range(BLOCK, m, BLOCK):
             samples[b - k:b] = before
             samples[b:b + k] = self._complex(self.EDGE[::-1], self.EDGE)
         samples[m - k:] = before
@@ -205,34 +202,16 @@ class TestSamplesCsv:
         assert ((tmp_path / "fast.csv").read_bytes()
                 == self._csv_writer_bytes(tmp_path / "ref.csv", samples))
 
-    @pytest.mark.parametrize("chunks", [1, 2, 3])
-    def test_chunked_bytes_match_csv_writer(self, tmp_path, monkeypatch,
-                                            children, chunks):
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: chunks)
-        monkeypatch.setattr(cli, "MIN_CHUNK_ROWS", 10)
-        # every chunk ends in a partial block
-        samples = self._edge_samples(chunks * (2 * BLOCK + 17), chunks)
+    def test_block_boundaries_match_csv_writer(self, tmp_path):
+        # the last block is a partial one
+        samples = self._edge_samples(3 * BLOCK + 17)
         _write_samples_csv(tmp_path / "fast.csv", samples)
-        assert len(children) == chunks - 1
         assert ((tmp_path / "fast.csv").read_bytes()
                 == self._csv_writer_bytes(tmp_path / "ref.csv", samples))
 
-    @pytest.mark.parametrize("extra,started", [(-1, 0), (0, 1)])
-    def test_threshold_for_a_child(self, tmp_path, monkeypatch, children,
-                                   extra, started):
-        # 2 * MIN_CHUNK_ROWS rows are the fewest that get a second chunk
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 4)
-        m = 2 * cli.MIN_CHUNK_ROWS + extra
-        samples = np.random.default_rng(5).standard_normal((m, 2)) @ [1, 1j]
-        _write_samples_csv(tmp_path / "fast.csv", samples)
-        assert len(children) == started
-        assert ((tmp_path / "fast.csv").read_bytes()
-                == self._csv_writer_bytes(tmp_path / "ref.csv", samples))
-
-    def test_memory_does_not_grow_with_rows(self, tmp_path, monkeypatch):
-        # one process formats all 200 000 rows, one block at a time; the
-        # whole text at once would take about 40 MB
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+    def test_memory_does_not_grow_with_rows(self, tmp_path):
+        # the 200 000 rows are formatted one block at a time; the whole
+        # text at once would take about 40 MB
         samples = np.random.default_rng(6).standard_normal((200_000, 2)) @ [1, 1j]
         tracemalloc.start()
         try:
@@ -242,30 +221,21 @@ class TestSamplesCsv:
             tracemalloc.stop()
         assert peak < 4 * 2 ** 20
 
-    def test_child_files_sit_next_to_output(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
-        monkeypatch.setattr(cli, "MIN_CHUNK_ROWS", 10)
-        dirs = []
-        temporary_file = cli.tempfile.TemporaryFile
+    def test_starts_no_process(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the CSV writer started a process")
 
-        def spy(*args, **kwargs):
-            dirs.append(kwargs.get("dir"))
-            return temporary_file(*args, **kwargs)
+        monkeypatch.setattr(subprocess, "Popen", refuse)
+        samples = np.random.default_rng(7).standard_normal((50_000, 2)) @ [1, 1j]
+        _write_samples_csv(tmp_path / "samples.csv", samples)
+        assert ((tmp_path / "samples.csv").read_bytes()
+                == self._csv_writer_bytes(tmp_path / "ref.csv", samples))
 
-        monkeypatch.setattr(cli.tempfile, "TemporaryFile", spy)
-        (tmp_path / "out").mkdir()
-        _write_samples_csv(tmp_path / "out" / "samples.csv", np.zeros(30, dtype=complex))
-        assert dirs == [tmp_path / "out"] * 4  # input and rows of 2 children
-
-    def test_failed_child_raises(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
-        monkeypatch.setattr(cli, "MIN_CHUNK_ROWS", 10)
-        monkeypatch.setattr(cli, "_ROWS_CHILD",
-                            (sys.executable, "-c", "import sys; sys.exit(3)"))
+    def test_failed_formatter_raises(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(_csvrows, "rows", _fails_after_one_block())
         path = tmp_path / "samples.csv"
-        with pytest.raises(subprocess.CalledProcessError) as err:
-            _write_samples_csv(path, np.zeros(30, dtype=complex))
-        assert err.value.returncode == 3
+        with pytest.raises(OSError, match="formatter failed"):
+            _write_samples_csv(path, np.zeros(2 * BLOCK + 1, dtype=complex))
         assert not path.exists()
 
 
