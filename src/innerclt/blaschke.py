@@ -155,21 +155,18 @@ class BlaschkeProduct:
         return self._derivative(arr)
 
     def _derivative(self, w):
+        # (out, dout) = (p, p') for the product p of z^m and the factors so
+        # far; each factor b updates them by the product rule, temporaries
+        # on the left as in _eval.
         arr = np.asarray(w, dtype=complex)
         m = self._origin_multiplicity
-        factors = [(a - arr) / (1.0 - conj_a * arr) for a, conj_a in self._factors]
-        prod_all = np.ones_like(arr)
-        for b in factors:
-            prod_all = prod_all * b
-        out = m * arr ** (m - 1) * prod_all
-        for i, (a, conj_a) in enumerate(self._factors):
-            db = (abs(a) ** 2 - 1.0) / (1.0 - conj_a * arr) ** 2
-            rest = np.ones_like(arr)
-            for jdx, b in enumerate(factors):
-                if jdx != i:
-                    rest = rest * b
-            out = out + arr ** m * db * rest
-        out = self.rotation * out
+        out, dout = arr ** m, m * arr ** (m - 1)
+        for a, conj_a in self._factors:
+            den = 1.0 - conj_a * arr
+            b = (a - arr) / den
+            dout = b * dout + (abs(a) ** 2 - 1.0) / den ** 2 * out
+            out = b * out
+        out = self.rotation * dout
         return complex(out) if arr.ndim == 0 else out
 
     def _circle_speed(self, z):

@@ -26,7 +26,7 @@ TARGET_SD = 0.5     # per-coordinate standard deviation
 
 KS_MIN_SAMPLES = 10_000
 KS_NOISE_DELTA = 0.05  # failure probability of the DKW band reported as ks_noise
-DEFAULT_TRUNCATION_TOL = 1e-6
+TRUNCATION_TOL = 1e-6
 # Samples per block of the orbit walk, the KS walk and the CSV writer.
 BLOCK = 8192
 
@@ -229,13 +229,12 @@ def _truncation_estimate(mass: np.ndarray) -> float:
 
 
 def tails_run(f: BlaschkeProduct, a: CoefficientSequence, N: int, M: int,
-              seed: int, tolerances: Tolerances = Tolerances(),
-              truncation_tol: float = DEFAULT_TRUNCATION_TOL) -> GaussFitReport:
+              seed: int, tolerances: Tolerances = Tolerances()) -> GaussFitReport:
     """Diagnostics for the tail sum (sqrt(2) sigma(N))^{-1} sum_{n>=N} a_n f^n.
 
     The stored sequence truncates the true tail; a geometric extrapolation
     of the squared-coefficient mass past storage must stay below
-    truncation_tol times the stored tail mass.
+    TRUNCATION_TOL times the stored tail mass.
     """
     if not 2 <= N <= len(a) - 1:
         raise ValueError("need 2 <= N <= stored length - 1")
@@ -244,10 +243,10 @@ def tails_run(f: BlaschkeProduct, a: CoefficientSequence, N: int, M: int,
     if tail_mass == 0.0:
         raise ValueError("stored tail is identically zero")
     est = _truncation_estimate(mass)
-    if est > truncation_tol * tail_mass:
+    if est > TRUNCATION_TOL * tail_mass:
         raise HeavyTruncation(
             f"estimated truncated mass {est:.3e} exceeds "
-            f"{truncation_tol:g} * tail mass {tail_mass:.3e}")
+            f"{TRUNCATION_TOL:g} * tail mass {tail_mass:.3e}")
     sigma2 = tail_sigma_squared(a, f.taylor_at_zero().c1, N)
     values = _sample(f, a.array()[N - 1:], M, seed, math.sqrt(2.0 * sigma2),
                      start_power=N)

@@ -20,7 +20,9 @@ import numpy as np
 
 from .blaschke import BlaschkeProduct
 from .errors import SeparationViolation, ShapeMismatch
-from .quadrature import _budgeted_integral
+from .quadrature import integrate
+
+C_CAP = 100.0  # largest fitted decay constant that decay_check passes
 
 
 @dataclass(frozen=True)
@@ -149,16 +151,15 @@ def _signed_integral(f: BlaschkeProduct, signs, powers, tol: float) -> complex:
     powers are nondecreasing: the factors multiply in order along the orbit.
     """
     powers = tuple(n - powers[0] for n in powers)
-    return _budgeted_integral(_signed_integrand(f, signs, powers),
-                              sum(f.degree ** n for n in powers), tol)
+    return integrate(_signed_integrand(f, signs, powers), tol,
+                     sum(f.degree ** n for n in powers)).value
 
 
-def pair_correlation(f: BlaschkeProduct, k: int, j: int,
-                     tol: float = 1e-12) -> PairCorrelation:
+def pair_correlation(f: BlaschkeProduct, k: int, j: int) -> PairCorrelation:
     """Quadrature check of int conj(f^k) f^j dm = f'(0)^{j-k}."""
     if not 1 <= k < j:
         raise ValueError("need 1 <= k < j")
-    value = _signed_integral(f, (-1, 1), (k, j), tol)
+    value = _signed_integral(f, (-1, 1), (k, j), 1e-12)
     target = f.taylor_at_zero().c1 ** (j - k)
     return PairCorrelation(value, target, abs(value - target))
 
@@ -173,8 +174,7 @@ def iterate_pair_integral(f: BlaschkeProduct, n: int, j: int) -> complex:
     return np.conj(lam) ** (j - n)
 
 
-def block_product_factorization(f: BlaschkeProduct, blocks,
-                                tol: float = 1e-11) -> FactorizationResult:
+def block_product_factorization(f: BlaschkeProduct, blocks) -> FactorizationResult:
     """lhs = int prod |xi_k|^2 dm vs rhs = prod int |xi_k|^2 dm."""
     blocks = list(blocks)
     if not blocks:
@@ -204,16 +204,15 @@ def block_product_factorization(f: BlaschkeProduct, blocks,
     base = min(blocks[0].block)
     degree = sum(d ** (n - base) for b in blocks for n in b.block) \
         + sum(d ** (max(b.block) - base) for b in blocks)
-    lhs = _budgeted_integral(lambda z: abs2_product(blocks, z), degree, tol)
+    lhs = integrate(lambda z: abs2_product(blocks, z), 1e-11, degree).value
     rhs = 1.0 + 0j
     for b in blocks:
         spread = max(b.block) - min(b.block)
-        rhs *= _budgeted_integral(lambda z, b=b: abs2_product([b], z), 2 * d ** spread, tol)
+        rhs *= integrate(lambda z, b=b: abs2_product([b], z), 1e-11, 2 * d ** spread).value
     return FactorizationResult(lhs, rhs, abs(lhs - rhs))
 
 
-def four_factor(f: BlaschkeProduct, signs, indices,
-                tol: float = 1e-11) -> FourFactorResult:
+def four_factor(f: BlaschkeProduct, signs, indices) -> FourFactorResult:
     """Evaluate one of the four-factor integrals and classify its bound.
 
     signs/indices are raw length-4 lists.  A repeated adjacent index with
@@ -230,7 +229,7 @@ def four_factor(f: BlaschkeProduct, signs, indices,
 
     a = abs(f.taylor_at_zero().c1)
     distinct = sorted(set(indices))
-    value = _signed_integral(f, signs, indices, tol)
+    value = _signed_integral(f, signs, indices, 1e-11)
 
     if len(distinct) == 4:
         n1, n2, n3, n4 = indices
@@ -255,10 +254,9 @@ def four_factor(f: BlaschkeProduct, signs, indices,
     raise ShapeMismatch(f"pattern signs={signs} indices={indices} matches no shape")
 
 
-def higher_correlation(f: BlaschkeProduct, spec: CorrelationSpec,
-                       tol: float = 5e-8) -> complex:
-    """Quadrature value of int prod_j f^{eps_j n_j} dm."""
-    return _signed_integral(f, spec.signs, spec.indices, tol)
+def higher_correlation(f: BlaschkeProduct, spec: CorrelationSpec) -> complex:
+    """Quadrature value of int prod_j f^{eps_j n_j} dm, to tol 5e-8."""
+    return _signed_integral(f, spec.signs, spec.indices, 5e-8)
 
 
 # -- delta bookkeeping for the decay exponent -------------------------------
@@ -338,9 +336,8 @@ def phi_exponent(spec: CorrelationSpec) -> PhiReport:
                      exact_zero=exact_zero)
 
 
-def decay_check(f: BlaschkeProduct, specs, q: int | None = None,
-                c_cap: float = 100.0) -> DecayCheck:
-    """Fit the smallest C with |I| <= C^k k! a^phi over a family of specs."""
+def decay_check(f: BlaschkeProduct, specs, q: int | None = None) -> DecayCheck:
+    """Fit the smallest C with |I| <= C^k k! a^phi over specs; pass at C <= C_CAP."""
     specs = list(specs)
     a = abs(f.taylor_at_zero().c1)
     if a == 0.0:
@@ -360,5 +357,5 @@ def decay_check(f: BlaschkeProduct, specs, q: int | None = None,
         c_here = (abs(value) / scale) ** (1.0 / spec.k) if abs(value) > 0 else 0.0
         fitted = max(fitted, c_here)
         rows.append((spec.k, spec.min_gap, report.phi, abs(value), scale,
-                     c_here <= c_cap))
-    return DecayCheck(fitted, fitted <= c_cap, False, tuple(rows))
+                     c_here <= C_CAP))
+    return DecayCheck(fitted, fitted <= C_CAP, False, tuple(rows))

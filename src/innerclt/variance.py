@@ -10,12 +10,12 @@ splitting used to decouple the sum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonConvergence, RegimeTooSmall, SandwichViolation
-from .quadrature import _budgeted_integral, circle_grid
+from .errors import RegimeTooSmall, SandwichViolation
+from .quadrature import circle_grid, integrate
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,8 +127,8 @@ class VarianceReport:
                 f"sigma2={self.sigma2} outside [{self.s2 / c}, {c * self.s2}]")
 
 
-def toeplitz_symbol_range(lam: complex, grid_size: int = 2 ** 12):
-    """(min, max) of s(z) = (1-|lam|^2)/|1-conj(lam) z|^2 on a circle grid.
+def toeplitz_symbol_range(lam: complex):
+    """(min, max) of s(z) = (1-|lam|^2)/|1-conj(lam) z|^2 on a 2^12-point circle grid.
 
     The grid is rotated so that the extremal points +-lam/|lam| are grid
     points; the extremes then match 1/C and C to rounding.
@@ -136,7 +136,7 @@ def toeplitz_symbol_range(lam: complex, grid_size: int = 2 ** 12):
     if lam == 0:
         return 1.0, 1.0
     phase = lam / abs(lam)
-    z = phase * circle_grid(grid_size)
+    z = phase * circle_grid(2 ** 12)
     s = (1.0 - abs(lam) ** 2) / np.abs(1.0 - np.conj(lam) * z) ** 2
     return float(np.min(s)), float(np.max(s))
 
@@ -181,7 +181,7 @@ def auxiliary_bound_check(a: CoefficientSequence, lam: complex,
     return AuxiliaryBoundResult(lhs, bound, lhs <= bound + 1e-12, slack)
 
 
-def _partial_sum_moment(f, a: CoefficientSequence, N: int, p: int, tol: float) -> float:
+def _partial_sum_moment(f, a: CoefficientSequence, N: int, p: int) -> float:
     """int |sum a_n f^{n-1}|^p dm, by f-invariance of m that of sum a_n f^n."""
     coeffs = a.array(N)
 
@@ -191,20 +191,20 @@ def _partial_sum_moment(f, a: CoefficientSequence, N: int, p: int, tol: float) -
             out = out + c * cur
         return np.abs(out) ** p
 
-    return _budgeted_integral(g, 4 * f.degree ** (N - 1), tol).real
+    return integrate(g, 1e-11, 4 * f.degree ** (N - 1)).value.real
 
 
-def l2_identity_check(f, a: CoefficientSequence, N: int, tol: float = 1e-11) -> float:
+def l2_identity_check(f, a: CoefficientSequence, N: int) -> float:
     """Residual of quadrature ||sum a_n f^n||_2^2 against sigma_N_squared."""
-    quad = _partial_sum_moment(f, a, N, 2, tol)
+    quad = _partial_sum_moment(f, a, N, 2)
     direct = sigma_N_squared(a, f.taylor_at_zero().c1, N)
     return abs(quad - direct)
 
 
-def l4_ratio(f, a: CoefficientSequence, N: int, tol: float = 1e-11) -> float:
+def l4_ratio(f, a: CoefficientSequence, N: int) -> float:
     """||xi||_4 / ||xi||_2 for the partial sum, both norms by quadrature."""
-    m2 = _partial_sum_moment(f, a, N, 2, tol)
-    m4 = _partial_sum_moment(f, a, N, 4, tol)
+    m2 = _partial_sum_moment(f, a, N, 2)
+    m4 = _partial_sum_moment(f, a, N, 4)
     if m2 <= 0:
         raise ValueError("zero partial sum has no norm ratio")
     return m4 ** 0.25 / m2 ** 0.5
@@ -228,6 +228,8 @@ def growth_condition(a: CoefficientSequence, eta: float, n_list) -> ConditionTra
     n_values = sorted(int(n) for n in n_list)
     if not n_values or n_values[0] < 1 or n_values[-1] > len(a):
         raise ValueError("N values must lie within the stored range")
+    if a.s2(n_values[0]) == 0.0:  # S_N^2 grows with N
+        raise ValueError("need nonzero coefficient mass up to N")
     ratios = []
     for n in n_values:
         top = float(np.max(np.abs(a.array(n)) ** 2))
@@ -242,6 +244,8 @@ def quasiorthogonality(a: CoefficientSequence, n_list) -> ConditionTrajectory:
     n_values = sorted(int(n) for n in n_list)
     if not n_values or n_values[0] < 2 or n_values[-1] > len(a):
         raise ValueError("N values must lie in [2, stored length]")
+    if a.s2(n_values[0]) == 0.0:
+        raise ValueError("need nonzero coefficient mass up to N")
     ratios = []
     for n in n_values:
         # zero padding to >= 2n-1 keeps the circular lags 1..n-1 from wrapping

@@ -46,8 +46,9 @@ class TestCoefficientConfig:
 
 
 class TestVerifyCommand:
-    def test_invariance_suite_passes(self, capsys):
-        assert main(["verify", "invariance"]) == 0
+    @pytest.mark.parametrize("suite", ["invariance", "clark"])
+    def test_invariance_suite_passes(self, capsys, suite):
+        assert main(["verify", suite]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
 

@@ -285,11 +285,10 @@ class TestQuadratureInvariants:
                 acc = acc + coeffs[j - 1] * its[j]
             return acc / math.sqrt(2.0 * sigma2)
 
-        val = integrate(lambda z: np.abs(t(z)) ** 2, tol=1e-12,
-                        min_grid=4096).value
+        val = integrate(lambda z: np.abs(t(z)) ** 2, tol=1e-12, degree=512).value
         assert abs(val.real - 0.5) < 1e-8
 
-        sq = integrate(lambda z: t(z) ** 2, tol=1e-12, min_grid=4096).value
+        sq = integrate(lambda z: t(z) ** 2, tol=1e-12, degree=512).value
         assert abs(sq) < 1e-10
 
 

@@ -15,8 +15,9 @@ from innerclt.correlations import (BlockSum, CorrelationSpec, _signed_integrand,
                                    four_factor, higher_correlation,
                                    iterate_pair_integral, pair_correlation,
                                    phi_exponent)
-from innerclt.errors import BudgetExceeded, SeparationViolation, ShapeMismatch
-from innerclt.quadrature import circle_grid, degree_aware_grid, integrate
+from innerclt.errors import (BudgetExceeded, NonConvergence, SeparationViolation,
+                             ShapeMismatch)
+from innerclt.quadrature import DEFAULT_MAX_GRID, circle_grid, integrate
 
 DEG2_HALF = BlaschkeProduct(zeros=(0.0, 0.5))
 DEG2_COMPLEX = BlaschkeProduct(zeros=(0.0, 0.3 + 0.3j))
@@ -39,8 +40,7 @@ def direct_signed_integral(f, signs, powers, tol):
             out = out * (its[n] if s > 0 else np.conj(its[n]))
         return out
 
-    grid = degree_aware_grid(sum(f.degree ** n for n in powers))
-    return integrate(g, tol=tol, min_grid=grid).value
+    return integrate(g, tol=tol, degree=sum(f.degree ** n for n in powers)).value
 
 
 def direct_factorization(f, blocks, tol=1e-11):
@@ -61,14 +61,14 @@ def direct_factorization(f, blocks, tol=1e-11):
             out = out * np.abs(xi(its, b)) ** 2
         return out
 
-    grid = degree_aware_grid(sum(f.degree ** n for n in all_powers)
-                             + sum(f.degree ** max(b.block) for b in blocks))
-    lhs = integrate(product_integrand, tol=tol, min_grid=grid).value
+    degree = sum(f.degree ** n for n in all_powers) \
+        + sum(f.degree ** max(b.block) for b in blocks)
+    lhs = integrate(product_integrand, tol=tol, degree=degree).value
     rhs = 1.0 + 0j
     for b in blocks:
         rhs *= integrate(
             lambda z, b=b: np.abs(xi(f.boundary_iterates(z, max(b.block)), b)) ** 2,
-            tol=tol, min_grid=degree_aware_grid(2 * f.degree ** max(b.block))).value
+            tol=tol, degree=2 * f.degree ** max(b.block)).value
     return lhs, rhs
 
 
@@ -161,7 +161,7 @@ class TestFactorization:
             def g(z, p=(n1, j1, n2, j2)):
                 its = f.boundary_iterates(z, max(p))
                 return its[p[0]] * np.conj(its[p[1]]) * its[p[2]] * np.conj(its[p[3]])
-            lhs = integrate(g, tol=1e-11, min_grid=4096).value
+            lhs = integrate(g, tol=1e-11, degree=512).value
             rhs = iterate_pair_integral(f, n1, j1) * iterate_pair_integral(f, n2, j2)
             assert abs(lhs - rhs) < 1e-8
 
@@ -302,6 +302,16 @@ class TestShiftReach:
         # the direct path raised NonConvergence at (2, 3), (3, 4), (4, 5)
         pc = pair_correlation(BlaschkeProduct(zeros=(0.0, zero)), k, k + 1)
         assert pc.residual <= 1e-9
+
+    def test_near_circle_pairs_converge_or_raise_typed(self):
+        # the start grid ignores the pole at 1/0.999: spread 3 cannot converge
+        # by the cap and must say so, never return a silently wrong value
+        f = BlaschkeProduct(zeros=(0.0, 0.999))
+        for j in (2, 3):
+            assert pair_correlation(f, 1, j).residual <= 1e-9, j
+        with pytest.raises(NonConvergence) as err:
+            pair_correlation(f, 1, 4)
+        assert err.value.grid_size == DEFAULT_MAX_GRID
 
     def test_criterion_6_alternating_residuals(self):
         for k in range(2, 7):

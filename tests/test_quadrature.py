@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from innerclt import quadrature
 from innerclt.blaschke import BlaschkeProduct, monomial
 from innerclt.correlations import pair_correlation
 from innerclt.errors import BudgetExceeded, NonConvergence
@@ -42,8 +41,7 @@ class TestIntegrate:
     def test_nonconvergence_carries_last_value(self):
         # square-root cusp, so doubling converges only algebraically
         with pytest.raises(NonConvergence) as err:
-            integrate(lambda z: np.sqrt(np.abs(np.angle(z))),
-                      tol=1e-13, max_grid=4096)
+            integrate(lambda z: np.sqrt(np.abs(np.angle(z))), tol=1e-13)
         assert err.value.value is not None
         # int_0^pi sqrt(t) dt / pi = (2/3) sqrt(pi)
         assert abs(err.value.value - 2.0 * math.sqrt(math.pi) / 3.0) < 1e-3
@@ -58,12 +56,12 @@ class TestIntegrate:
         assert abs(val - coeffs[-1]) < 1e-9 * max(1.0, max(abs(c) for c in coeffs))
 
 
-def full_grid_integrate(g, tol=1e-12, max_grid=2 ** 18, min_grid=256):
+def full_grid_integrate(g, tol=1e-12, degree=0):
     """Reference: the doubling loop re-evaluating g on the whole grid per level."""
-    grid = next_power_of_two(max(min_grid, 2))
+    grid = degree_aware_grid(degree)
     prev = None
     delta = math.inf
-    while grid <= max_grid:
+    while grid <= DEFAULT_MAX_GRID:
         value = complex(np.mean(g(circle_grid(grid))))
         if prev is not None:
             delta = abs(value - prev)
@@ -100,7 +98,7 @@ NESTED_CASES = {
     "lacunary": (lambda z: np.abs(z ** 2 + z ** 4) ** 2, {}),
     "poisson": (lambda z: (1 - 0.8 ** 2) / np.abs(1 - 0.8 * z) ** 2, {}),
     "polynomial": (lambda z: np.polyval([2 - 1j, 0.5, 3j, -1.0, 0.25], z), {}),
-    "four_factor": (four_factor_integrand, {"tol": 1e-11, "min_grid": 4096}),
+    "four_factor": (four_factor_integrand, {"tol": 1e-11, "degree": 512}),
     "invariance": (lambda z: np.real(DEG3_MIXED.boundary_step(z)) ** 3, {"tol": 1e-13}),
 }
 
@@ -120,7 +118,7 @@ class TestNestedDoubling:
         g, seen = recording(g)
         res = integrate(g, **kwargs)
         sizes = [len(z) for z in seen]
-        start = next_power_of_two(kwargs.get("min_grid", 256))
+        start = degree_aware_grid(kwargs.get("degree", 0))
         assert sizes == [start] + [start << k for k in range(len(sizes) - 1)]
         assert sum(sizes) == res.grid_size
         assert np.array_equal(seen[0], circle_grid(start))
@@ -128,32 +126,23 @@ class TestNestedDoubling:
             assert np.array_equal(z, circle_grid(start << k)[1::2])
 
     def test_odd_points_are_full_grid_points_at_large_sizes(self):
-        # the odd half of circle_grid(n) is rebuilt bit for bit at n = 2^17
+        # the odd half of circle_grid(n) is rebuilt bit for bit at n = 2^17, 2^18
         g, seen = recording(cusp)
         with pytest.raises(NonConvergence):
-            integrate(g, tol=1e-14, min_grid=2 ** 16, max_grid=2 ** 17)
-        assert np.array_equal(seen[-1], circle_grid(2 ** 17)[1::2])
+            integrate(g, tol=1e-14, degree=2 ** 13)
+        assert [len(z) for z in seen] == [2 ** 16, 2 ** 16, 2 ** 17]
+        assert np.array_equal(seen[-2], circle_grid(2 ** 17)[1::2])
+        assert np.array_equal(seen[-1], circle_grid(2 ** 18)[1::2])
 
     def test_nonconvergence_reports_max_grid(self):
         g, seen = recording(cusp)
         with pytest.raises(NonConvergence) as err:
-            integrate(g, tol=1e-13, max_grid=4096)
-        assert err.value.grid_size == 4096
-        assert sum(len(z) for z in seen) == 4096
-        ref_value, ref_grid = full_grid_integrate(cusp, tol=1e-13, max_grid=4096)
+            integrate(g, tol=1e-13)
+        assert err.value.grid_size == DEFAULT_MAX_GRID
+        assert sum(len(z) for z in seen) == DEFAULT_MAX_GRID
+        ref_value, ref_grid = full_grid_integrate(cusp, tol=1e-13)
         assert ref_grid is None
         assert abs(err.value.value - ref_value) <= 1e-15
-
-    def test_nonconvergence_reports_last_level_below_max_grid(self):
-        g, seen = recording(lambda z: np.sqrt(np.abs(z - 1)))
-        with pytest.raises(NonConvergence) as err:
-            integrate(g, max_grid=1000)
-        assert err.value.grid_size == 512
-        assert sum(len(z) for z in seen) == 512
-
-    def test_min_grid_above_max_grid_raises(self):
-        with pytest.raises(ValueError, match="min_grid exceeds max_grid"):
-            integrate(lambda z: z, min_grid=2 ** 19)
 
 
 class TestGridHelpers:
@@ -179,29 +168,42 @@ class TestGridBudget:
     degree; a start grid at the cap raises BudgetExceeded before integrating."""
 
     @pytest.fixture
-    def start_grids(self, monkeypatch):
-        grids = []
+    def stepped(self, monkeypatch):
+        """Point count of every Blaschke step the integrands take."""
+        sizes = []
+        step = BlaschkeProduct._step
 
-        def spy(g, **kwargs):
-            grids.append(kwargs["min_grid"])
-            return integrate(g, **kwargs)
+        def spy(self, z):
+            sizes.append(np.size(z))
+            return step(self, z)
 
-        monkeypatch.setattr(quadrature, "integrate", spy)
-        return grids
+        monkeypatch.setattr(BlaschkeProduct, "_step", spy)
+        return sizes
+
+    def test_integrate_start_at_cap_raises_before_g_runs(self):
+        g, seen = recording(lambda z: z)
+        integrate(g, degree=2 ** 14)
+        assert len(seen[0]) == DEFAULT_MAX_GRID // 2
+        g, seen = recording(lambda z: z)
+        with pytest.raises(BudgetExceeded):
+            integrate(g, degree=2 ** 14 + 1)
+        assert seen == []
 
     @pytest.mark.parametrize("call", [
         lambda: pair_correlation(DEG2_HALF, 1, 15),
         lambda: l2_identity_check(DEG2_HALF, CoefficientSequence.ones(14), 14),
     ], ids=["pair(1,15)", "l2(N=14)"])
-    def test_start_at_cap_raises_before_integrating(self, start_grids, call):
+    def test_start_at_cap_raises_before_integrating(self, stepped, call):
         with pytest.raises(BudgetExceeded):
             call()
-        assert start_grids == []
+        assert stepped == []
 
-    def test_start_below_cap_runs_two_levels(self, start_grids):
+    def test_start_below_cap_runs_two_levels(self, stepped):
+        # spread 13: both levels step 2^17 points (the start grid, then the
+        # odd half of 2^18) through 13 iterates
         with pytest.raises(NonConvergence) as err:
             pair_correlation(DEG2_HALF, 1, 14)
-        assert start_grids == [DEFAULT_MAX_GRID // 2]
+        assert stepped == [DEFAULT_MAX_GRID // 2] * 26
         assert err.value.grid_size == DEFAULT_MAX_GRID
         assert math.isfinite(err.value.est_error)
 

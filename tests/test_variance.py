@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from innerclt.blaschke import BlaschkeProduct, monomial
 from innerclt.errors import RegimeTooSmall
-from innerclt.quadrature import degree_aware_grid, integrate
+from innerclt.quadrature import integrate
 from innerclt.variance import (CoefficientSequence, asymptotic_sigma_squared,
                                auxiliary_bound_check, growth_condition,
                                l2_identity_check, l4_ratio, quasiorthogonality,
@@ -271,9 +271,9 @@ class TestNormIdentities:
             its = f.boundary_iterates(z, N)
             return sum(a.values[n - 1] * its[n] for n in range(1, N + 1))
 
-        grid = degree_aware_grid(4 * f.degree ** N)
-        m2 = integrate(lambda z: np.abs(direct(z)) ** 2, tol=1e-11, min_grid=grid).value.real
-        m4 = integrate(lambda z: np.abs(direct(z)) ** 4, tol=1e-11, min_grid=grid).value.real
+        degree = 4 * f.degree ** N
+        m2 = integrate(lambda z: np.abs(direct(z)) ** 2, tol=1e-11, degree=degree).value.real
+        m4 = integrate(lambda z: np.abs(direct(z)) ** 4, tol=1e-11, degree=degree).value.real
         lam = f.taylor_at_zero().c1
         assert abs(l2_identity_check(f, a, N)
                    - abs(m2 - sigma_N_squared(a, lam, N))) <= 1e-14 * max(1.0, m2)
@@ -310,6 +310,19 @@ class TestHypothesisChecks:
             growth_condition(a, 0.5, [])
         with pytest.raises(ValueError):
             quasiorthogonality(a, [])
+
+    @pytest.mark.parametrize("check,n_list", [
+        (lambda a, n: growth_condition(a, 0.5, n), [1, 5]),
+        (lambda a, n: growth_condition(a, 0.5, n), [2, 5]),
+        (quasiorthogonality, [2, 5]),
+    ], ids=["growth[1,5]", "growth[2,5]", "quasi[2,5]"])
+    def test_zero_mass_at_a_tested_n_is_a_value_error(self, check, n_list):
+        # S_N^2 = 0 at N = 2: the same typed error split_plan raises
+        a = CoefficientSequence.explicit([0, 0, 1, 1, 1])
+        with pytest.raises(ValueError, match="need nonzero coefficient mass up to N"):
+            split_plan(a, 2)
+        with pytest.raises(ValueError, match="need nonzero coefficient mass up to N"):
+            check(a, n_list)
 
     def test_quasi_random_signs_holds(self):
         a = CoefficientSequence.random_signs(4000, 13)
