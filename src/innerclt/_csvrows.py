@@ -25,7 +25,7 @@ Adams, PLDI 2018, done in exact integer arithmetic):
 
 import numpy as np
 
-from .clt import BLOCK
+from .quadrature import BLOCK
 
 _U64 = np.uint64
 _MANTISSA = _U64((1 << 52) - 1)

@@ -132,8 +132,12 @@ class BlaschkeProduct:
         # for a commutative ufunc, swaps it to the left; a fused-multiply-add
         # complex product is not bitwise commutative, so writing the other
         # order would make a point's bits depend on how many points share
-        # the call.
-        out = arr ** self._origin_multiplicity * self.rotation
+        # the call.  A simple zero at the origin skips np.power, whose
+        # complex loop is ten times slower than a multiply for z ** 1 and
+        # gives the same bits at every nonzero point.  For m >= 3, z ** m
+        # and a chain of multiplies differ bitwise, so ** stays.
+        m = self._origin_multiplicity
+        out = (arr if m == 1 else arr ** m) * self.rotation
         for a, conj_a in self._factors:
             out = (a - arr) * out / (1.0 - conj_a * arr)
         return complex(out) if arr.ndim == 0 else out

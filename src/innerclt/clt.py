@@ -16,7 +16,7 @@ import numpy as np
 from ._ndtr import ndtr_sorted
 from .blaschke import BlaschkeProduct, CirclePoint
 from .errors import HeavyTruncation, InsufficientSamples
-from .quadrature import uniform_angles
+from .quadrature import BLOCK, uniform_angles
 from .variance import (CoefficientSequence, asymptotic_sigma_squared,
                        sigma_N_squared, tail_sigma_squared)
 
@@ -27,8 +27,6 @@ TARGET_SD = 0.5     # per-coordinate standard deviation
 KS_MIN_SAMPLES = 10_000
 KS_NOISE_DELTA = 0.05  # failure probability of the DKW band reported as ks_noise
 TRUNCATION_TOL = 1e-6
-# Samples per block of the orbit walk, the KS walk and the CSV writer.
-BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -116,7 +114,7 @@ def _sample(f: BlaschkeProduct, coeffs: np.ndarray, M: int, seed: int,
             scale: float, start_power: int = 1) -> np.ndarray:
     """_accumulate / scale at the M counter-seeded uniform angles of seed.
 
-    The samples are computed BLOCK (8192, the CSV writer's block too) at a
+    The samples are computed BLOCK (quadrature's block, 8192 points) at a
     time into one preallocated array, so an orbit step's working set is a
     few 128 KiB complex arrays whatever M is.  Sample i depends only on
     (seed, i) and the orbit step is pointwise bit for bit, so the values do

@@ -227,29 +227,36 @@ def four_factor(f: BlaschkeProduct, signs, indices) -> FourFactorResult:
     if any(b < a for a, b in zip(indices, indices[1:])):
         raise ShapeMismatch("indices must be nondecreasing")
 
-    a = abs(f.taylor_at_zero().c1)
-    distinct = sorted(set(indices))
+    shape, exponent, target = _four_factor_shape(signs, indices, abs(f.taylor_at_zero().c1))
     value = _signed_integral(f, signs, indices, 1e-11)
+    residual = None if target is None else abs(abs(value) - target)
+    return FourFactorResult(shape, value, exponent, target, residual)
 
+
+def _four_factor_shape(signs, indices, a: float):
+    """(shape, exponent, target) of a four-factor pattern; a = |f'(0)|.
+
+    Decided from signs and indices alone, so a pattern that matches no
+    shape raises ShapeMismatch before anything is integrated.
+    """
+    distinct = sorted(set(indices))
     if len(distinct) == 4:
         n1, n2, n3, n4 = indices
         if signs[0] == -signs[1] and signs[2] == signs[3]:
-            return FourFactorResult("I", value, 0.0, 0.0, abs(value))
+            return "I", 0.0, 0.0
         if signs[0] * signs[1] == -1 and signs[2] * signs[3] == -1:
-            target = a ** (n2 - n1 + n4 - n3)
-            return FourFactorResult("IV", value, float(n2 - n1 + n4 - n3),
-                                    target, abs(abs(value) - target))
+            return "IV", float(n2 - n1 + n4 - n3), a ** (n2 - n1 + n4 - n3)
         exponent = float(n2 - n1 + n4 - n3) if n4 - n3 > 2 else float(n3 - n1)
-        return FourFactorResult("IV", value, exponent, None, None)
+        return "IV", exponent, None
 
     if len(distinct) == 3:
         n1, n2, n3 = distinct
         if indices[1] == indices[2] and signs[1] == signs[2]:
-            return FourFactorResult("II", value, float(n3 - n1), None, None)
+            return "II", float(n3 - n1), None
         if indices[0] == indices[1] and signs[0] == signs[1]:
             if n2 == n1 + 1 and n3 <= n2 + 2:
-                return FourFactorResult("III", value, 0.0, None, None)
-            return FourFactorResult("III", value, float(n3 - n1), None, None)
+                return "III", 0.0, None
+            return "III", float(n3 - n1), None
 
     raise ShapeMismatch(f"pattern signs={signs} indices={indices} matches no shape")
 
@@ -337,8 +344,15 @@ def phi_exponent(spec: CorrelationSpec) -> PhiReport:
 
 
 def decay_check(f: BlaschkeProduct, specs, q: int | None = None) -> DecayCheck:
-    """Fit the smallest C with |I| <= C^k k! a^phi over specs; pass at C <= C_CAP."""
+    """Fit the smallest C with |I| <= C^k k! a^phi over specs; pass at C <= C_CAP.
+
+    With q given, every spec's smallest gap must be >= q; that is checked
+    for all specs before the first integral.
+    """
     specs = list(specs)
+    for spec in specs:
+        if q is not None and spec.min_gap < q:
+            raise ValueError(f"spec {spec.indices} has gap below q={q}")
     a = abs(f.taylor_at_zero().c1)
     if a == 0.0:
         rows = []
@@ -349,8 +363,6 @@ def decay_check(f: BlaschkeProduct, specs, q: int | None = None) -> DecayCheck:
     fitted = 0.0
     rows = []
     for spec in specs:
-        if q is not None and spec.min_gap < q:
-            raise ValueError(f"spec {spec.indices} has gap below q={q}")
         value = higher_correlation(f, spec)
         report = phi_exponent(spec)
         scale = math.factorial(spec.k) * a ** report.phi

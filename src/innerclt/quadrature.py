@@ -16,6 +16,10 @@ from .errors import BudgetExceeded, NonConvergence
 
 TWO_PI = 2.0 * math.pi
 
+# Points per integrand call, per orbit-walk block of clt and per CSV block:
+# 8192 complex points are 128 KiB, so an orbit step's temporaries stay in
+# cache and below numpy's 256 KiB threshold for reusing temporaries in place.
+BLOCK = 8192
 DEFAULT_MIN_GRID = 256
 DEFAULT_MAX_GRID = 2 ** 18
 INVARIANCE_QUAD_TOL = 1e-13
@@ -44,7 +48,12 @@ class InvarianceCheck:
 
 def circle_grid(n: int) -> np.ndarray:
     """n equispaced points e^{2 pi i k / n}."""
-    return np.exp(1j * TWO_PI * np.arange(n) / n)
+    return _nodes(np.arange(n), n)
+
+
+def _nodes(k: np.ndarray, n: int) -> np.ndarray:
+    # elementwise, so a node's bits do not depend on which k share the call
+    return np.exp(1j * TWO_PI * k / n)
 
 
 def next_power_of_two(n: int) -> int:
@@ -54,6 +63,14 @@ def next_power_of_two(n: int) -> int:
 def degree_aware_grid(total_degree: int) -> int:
     """Starting grid for integrands of known harmonic content: 8 points per degree."""
     return min(DEFAULT_MAX_GRID, max(DEFAULT_MIN_GRID, next_power_of_two(8 * total_degree)))
+
+
+def _level(g, n: int, start: int, step: int) -> np.ndarray:
+    """g at the nodes circle_grid(n)[start::step], bit for bit, BLOCK nodes per call."""
+    blocks = (_nodes(np.arange(lo, min(lo + step * BLOCK, n), step), n)
+              for lo in range(start, n, step * BLOCK))
+    # broadcast, so an integrand that returns a constant still works
+    return np.concatenate([np.broadcast_to(np.asarray(g(z)), z.shape) for z in blocks])
 
 
 def integrate(g, tol: float = 1e-12, degree: int = 0) -> QuadratureResult:
@@ -67,7 +84,8 @@ def integrate(g, tol: float = 1e-12, degree: int = 0) -> QuadratureResult:
     after the first level g is called only on the new odd points
     e^{2 pi i k / n}, k odd, and their values are interleaved with the
     previous level's.  Each integral thus evaluates g at grid_size points
-    in total.  The estimated error is the difference between the last two
+    in total, at most BLOCK points per call, so the temporaries of g stay
+    in cache.  The estimated error is the difference between the last two
     refinement levels; since the integrands here are analytic in an
     annulus, convergence is geometric and the estimate is conservative.
     """
@@ -77,12 +95,12 @@ def integrate(g, tol: float = 1e-12, degree: int = 0) -> QuadratureResult:
     if grid == DEFAULT_MAX_GRID:
         raise BudgetExceeded(
             f"harmonic degree {degree} puts the start grid at the cap {DEFAULT_MAX_GRID}")
-    vals = np.asarray(g(circle_grid(grid)))
+    vals = _level(g, grid, 0, 1)
     value = complex(np.mean(vals))
     delta = math.inf
     while grid < DEFAULT_MAX_GRID:
         grid *= 2
-        odd = np.asarray(g(np.exp(1j * TWO_PI * np.arange(1, grid, 2) / grid)))
+        odd = _level(g, grid, 1, 2)
         both = np.empty(grid, dtype=np.result_type(vals, odd))
         both[0::2] = vals
         both[1::2] = odd

@@ -340,6 +340,51 @@ class TestOrbitKernel:
             self.ENTRY_POINTS[entry](self.NEAR_CIRCLE, z)
 
 
+class TestLowOriginMultiplicity:
+    """_eval and boundary_step at a simple zero at the origin skip np.power
+    (z * rot for z ** 1 * rot).  Away from an exact zero they equal the power
+    formula bit for bit, here and at a double zero, where ** stays."""
+
+    MAPS = [DEG2_HALF, DEG3_MIXED,
+            BlaschkeProduct(zeros=(0.0, 0.0, 0.4 - 0.3j), rotation=cmath.exp(-1.1j)),
+            monomial(2)]
+
+    @staticmethod
+    def power_eval(f, arr):
+        out = arr ** f.origin_multiplicity * f.rotation
+        for a, conj_a in f._factors:
+            out = (a - arr) * out / (1.0 - conj_a * arr)
+        return out
+
+    @staticmethod
+    def points():
+        theta = uniform_angles(31, 4096)
+        radius = np.sqrt(uniform_angles(32, 4096) / (2 * math.pi))
+        # +-1 and +-i and other points on the axes, with either signed zero
+        axes = [(x, y) for x in (0.0, -0.0) for y in (1.0, -1.0, 0.25, -1e-150)]
+        axes = [complex(x, y) for x, y in axes] + [complex(y, x) for x, y in axes]
+        return np.concatenate([np.exp(1j * theta), radius * np.exp(1j * theta),
+                               np.array(axes)])
+
+    @staticmethod
+    def bits(x):
+        return np.asarray(x, dtype=complex).view(np.uint64)
+
+    @pytest.mark.parametrize("f", MAPS)
+    def test_equal_power_formulas_bit_for_bit(self, f):
+        assert f.origin_multiplicity in (1, 2)
+        z = self.points()
+        assert np.array_equal(self.bits(f._eval(z)), self.bits(self.power_eval(f, z)))
+        ref = self.power_eval(f, z)
+        assert np.array_equal(self.bits(f.boundary_step(z)), self.bits(ref / np.abs(ref)))
+
+    @pytest.mark.parametrize("f", MAPS)
+    def test_exact_zero_values(self, f):
+        zeros = np.array([complex(x, y) for x in (0.0, -0.0) for y in (0.0, -0.0)])
+        assert np.all(f._eval(zeros) == 0)
+        assert f(0.0) == 0
+
+
 class TestCirclePoint:
     def test_canonical_angle(self):
         assert abs(CirclePoint(-1.0).theta - (2 * math.pi - 1.0)) < 1e-12

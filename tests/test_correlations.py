@@ -212,6 +212,19 @@ class TestFourFactor:
         with pytest.raises(ShapeMismatch):
             four_factor(DEG2_HALF, (1, 1, 1, 1), (1, 2, 4, 3))
 
+    @pytest.mark.parametrize("f", [monomial(2), DEG2_HALF], ids=["z2", "deg2-half"])
+    @pytest.mark.parametrize("signs, indices", [
+        ((-1, 1, 1, 1), (1, 1, 2, 3)),
+        ((1, 1, -1, 1), (1, 2, 2, 3)),
+        ((1, -1, 1, 1), (1, 2, 3, 3)),
+        ((1, 1, -1, -1), (1, 1, 2, 2)),
+        ((1, 1, 1, 1), (2, 2, 2, 2)),
+    ])
+    def test_shape_mismatch_raises_before_integrating(self, stepped, f, signs, indices):
+        with pytest.raises(ShapeMismatch):
+            four_factor(f, signs, indices)
+        assert stepped == []
+
 
 class TestHigherCorrelation:
     def test_single_factor_mean_zero(self):
@@ -403,3 +416,11 @@ class TestDecayCheck:
     def test_gap_precondition(self):
         with pytest.raises(ValueError):
             decay_check(DEG2_HALF, [CorrelationSpec((1, -1), (1, 2))], q=3)
+
+    @pytest.mark.parametrize("f", [monomial(2), DEG2_HALF], ids=["z2", "deg2-half"])
+    def test_gap_precondition_checked_before_integrating(self, stepped, f):
+        ok = CorrelationSpec((1, -1), (1, 4))
+        too_close = CorrelationSpec((1, -1), (1, 2))
+        with pytest.raises(ValueError, match="gap below q=3"):
+            decay_check(f, [ok, too_close], q=3)
+        assert stepped == []

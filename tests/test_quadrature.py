@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from innerclt.blaschke import BlaschkeProduct, monomial
-from innerclt.correlations import pair_correlation
+from innerclt.correlations import _signed_integrand, pair_correlation
 from innerclt.errors import BudgetExceeded, NonConvergence
-from innerclt.quadrature import (DEFAULT_MAX_GRID, check_invariance, circle_grid,
+from innerclt.quadrature import (BLOCK, DEFAULT_MAX_GRID, TWO_PI, check_invariance, circle_grid,
                                  counter_uniform, degree_aware_grid, integrate,
                                  mc_integrate, next_power_of_two, uniform_angles)
 from innerclt.variance import CoefficientSequence, l2_identity_check
@@ -47,6 +47,13 @@ class TestIntegrate:
         assert abs(err.value.value - 2.0 * math.sqrt(math.pi) / 3.0) < 1e-3
         assert err.value.est_error > 0
 
+    @pytest.mark.parametrize("c", [1.0, 2.5 - 0.5j])
+    def test_constant_integrand(self, c):
+        # an integrand may return a scalar: a constant is pointwise
+        res = integrate(lambda z: c)
+        assert res == integrate(lambda z: np.full(z.shape, c))
+        assert res.value == c and res.est_error == 0.0
+
     @given(st.lists(st.complex_numbers(max_magnitude=5, allow_nan=False,
                                        allow_infinity=False),
                     min_size=1, max_size=8))
@@ -72,6 +79,28 @@ def full_grid_integrate(g, tol=1e-12, degree=0):
     return value, None
 
 
+def unblocked_integrate(g, tol=1e-12, degree=0):
+    """Reference: integrate as it was before blocking, with g called once on
+    each level's whole node set.  Returns (value, grid_size, est_error),
+    also where integrate raises NonConvergence."""
+    grid = degree_aware_grid(degree)
+    vals = np.asarray(g(circle_grid(grid)))
+    value = complex(np.mean(vals))
+    delta = math.inf
+    while grid < DEFAULT_MAX_GRID:
+        grid *= 2
+        odd = np.asarray(g(np.exp(1j * TWO_PI * np.arange(1, grid, 2) / grid)))
+        both = np.empty(grid, dtype=np.result_type(vals, odd))
+        both[0::2] = vals
+        both[1::2] = odd
+        vals = both
+        prev, value = value, complex(np.mean(vals))
+        delta = abs(value - prev)
+        if delta <= tol:
+            break
+    return value, grid, delta
+
+
 def recording(g):
     """g plus the list of arrays it was called with."""
     seen = []
@@ -80,6 +109,35 @@ def recording(g):
         seen.append(z)
         return g(z)
     return wrapped, seen
+
+
+def returning(g):
+    """g plus the list of arrays it returned."""
+    out = []
+
+    def wrapped(z):
+        out.append(g(z))
+        return out[-1]
+    return wrapped, out
+
+
+def by_level(seen, start):
+    """The arrays of `recording` grouped by level and concatenated: the start
+    grid's points first, then the odd half of each doubled grid."""
+    levels, calls, size = [], list(seen), start
+    while calls:
+        level = []
+        while sum(map(len, level)) < size:
+            level.append(calls.pop(0))
+        assert sum(map(len, level)) == size
+        levels.append(np.concatenate(level))
+        size = size if len(levels) == 1 else 2 * size
+    return levels
+
+
+def same_bits(x, y):
+    return x.dtype == y.dtype and np.array_equal(np.ascontiguousarray(x).view(np.uint64),
+                                                 np.ascontiguousarray(y).view(np.uint64))
 
 
 def cusp(z):
@@ -126,13 +184,46 @@ class TestNestedDoubling:
             assert np.array_equal(z, circle_grid(start << k)[1::2])
 
     def test_odd_points_are_full_grid_points_at_large_sizes(self):
-        # the odd half of circle_grid(n) is rebuilt bit for bit at n = 2^17, 2^18
+        # g sees BLOCK points per call; the blocks of each level rebuild
+        # circle_grid(2^16) and the odd half of circle_grid(n) at n = 2^17,
+        # 2^18 bit for bit
         g, seen = recording(cusp)
         with pytest.raises(NonConvergence):
             integrate(g, tol=1e-14, degree=2 ** 13)
-        assert [len(z) for z in seen] == [2 ** 16, 2 ** 16, 2 ** 17]
-        assert np.array_equal(seen[-2], circle_grid(2 ** 17)[1::2])
-        assert np.array_equal(seen[-1], circle_grid(2 ** 18)[1::2])
+        assert all(len(z) <= BLOCK for z in seen)
+        levels = by_level(seen, 2 ** 16)
+        assert [len(z) for z in levels] == [2 ** 16, 2 ** 16, 2 ** 17]
+        assert same_bits(levels[0], circle_grid(2 ** 16))
+        assert same_bits(levels[1], circle_grid(2 ** 17)[1::2])
+        assert same_bits(levels[2], circle_grid(2 ** 18)[1::2])
+
+    # integrals whose levels reach 2^16 - 2^18: a deg2-half four-factor of
+    # spread 9, a z^3 pair of spread 8 and the cusp, which does not converge
+    BLOCKED_CASES = {
+        "four_factor": (_signed_integrand(DEG2_HALF, (1, -1, 1, -1), (0, 1, 8, 9)),
+                        1e-11, 1 + 2 + 2 ** 8 + 2 ** 9),
+        "z3_pair": (_signed_integrand(monomial(3), (-1, 1), (0, 8)), 1e-12, 1 + 3 ** 8),
+        "cusp": (cusp, 1e-13, 0),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BLOCKED_CASES))
+    def test_blocked_levels_match_unblocked_bit_for_bit(self, case):
+        g, tol, degree = self.BLOCKED_CASES[case]
+        ref_g, ref_out = returning(g)
+        value, grid, delta = unblocked_integrate(ref_g, tol, degree)
+        assert grid >= 2 ** 16
+        g, out = returning(g)
+        try:
+            res = integrate(g, tol, degree)
+        except NonConvergence as err:
+            res = err
+            assert case == "cusp" and grid == DEFAULT_MAX_GRID
+        # every point's value, not only the means, which can hide a changed bit
+        assert same_bits(np.concatenate(out), np.concatenate(ref_out))
+        assert res.value.real.hex() == value.real.hex()
+        assert res.value.imag.hex() == value.imag.hex()
+        assert res.est_error.hex() == delta.hex()
+        assert res.grid_size == grid
 
     def test_nonconvergence_reports_max_grid(self):
         g, seen = recording(cusp)
@@ -167,23 +258,14 @@ class TestGridBudget:
     """Integrals of iterates start on the degree-aware grid of their harmonic
     degree; a start grid at the cap raises BudgetExceeded before integrating."""
 
-    @pytest.fixture
-    def stepped(self, monkeypatch):
-        """Point count of every Blaschke step the integrands take."""
-        sizes = []
-        step = BlaschkeProduct._step
-
-        def spy(self, z):
-            sizes.append(np.size(z))
-            return step(self, z)
-
-        monkeypatch.setattr(BlaschkeProduct, "_step", spy)
-        return sizes
-
     def test_integrate_start_at_cap_raises_before_g_runs(self):
         g, seen = recording(lambda z: z)
         integrate(g, degree=2 ** 14)
-        assert len(seen[0]) == DEFAULT_MAX_GRID // 2
+        assert all(len(z) <= BLOCK for z in seen)
+        levels = by_level(seen, DEFAULT_MAX_GRID // 2)
+        assert [len(z) for z in levels] == [DEFAULT_MAX_GRID // 2] * 2
+        assert same_bits(levels[0], circle_grid(DEFAULT_MAX_GRID // 2))
+        assert same_bits(levels[1], circle_grid(DEFAULT_MAX_GRID)[1::2])
         g, seen = recording(lambda z: z)
         with pytest.raises(BudgetExceeded):
             integrate(g, degree=2 ** 14 + 1)
@@ -200,10 +282,10 @@ class TestGridBudget:
 
     def test_start_below_cap_runs_two_levels(self, stepped):
         # spread 13: both levels step 2^17 points (the start grid, then the
-        # odd half of 2^18) through 13 iterates
+        # odd half of 2^18) through 13 iterates, BLOCK points per step
         with pytest.raises(NonConvergence) as err:
             pair_correlation(DEG2_HALF, 1, 14)
-        assert stepped == [DEFAULT_MAX_GRID // 2] * 26
+        assert stepped == [BLOCK] * (26 * 2 ** 17 // BLOCK)
         assert err.value.grid_size == DEFAULT_MAX_GRID
         assert math.isfinite(err.value.est_error)
 
@@ -250,6 +332,10 @@ class TestInvariance:
         for p in range(1, 4):
             check = check_invariance(f, lambda z, p=p: z ** p + np.real(z) ** (p + 1))
             assert check.passed, check.residual
+
+    def test_constant_observable(self):
+        check = check_invariance(DEG2_HALF, lambda z: 1.0)
+        assert check.passed and check.residual == 0.0
 
     def test_residual_is_small_not_just_flagged(self):
         f = BlaschkeProduct(zeros=(0.0, 0.3 + 0.2j))
