@@ -9,8 +9,7 @@ from .blaschke import (BlaschkeProduct, CirclePoint, TaylorJet,
                        iterate_derivative_on_circle, monomial, taylor_table)
 from .clark import (ClarkMeasure, clark_measure, check_first_moment,
                     check_second_moment, desintegrate)
-from .clt import (EmpiricalDistribution, GaussFitReport, Tolerances,
-                  gauss_report, sample_T, simulate, tails_run)
+from .clt import GaussFitReport, Tolerances, gauss_report, sample_T, simulate
 from .correlations import (BlockSum, CorrelationSpec, PhiReport,
                            block_product_factorization, decay_check,
                            four_factor, higher_correlation, pair_correlation,

@@ -30,7 +30,6 @@ class ClarkMeasure:
 
     alpha: CirclePoint
     atoms: np.ndarray
-    source_degree: int
 
     def __post_init__(self):
         atoms = np.array(self.atoms, dtype=float)
@@ -152,8 +151,7 @@ def clark_measure(f: BlaschkeProduct, alpha: CirclePoint, power: int = 1) -> Cla
     if abs(total - 1.0) > WEIGHT_SUM_TOL:
         raise RootBracketFailure(
             f"clark weights sum to {total}, not 1; atom solve is suspect")
-    return ClarkMeasure(alpha=alpha, atoms=np.column_stack((angles, weights)),
-                        source_degree=solver.total_degree)
+    return ClarkMeasure(alpha=alpha, atoms=np.column_stack((angles, weights)))
 
 
 def _moment_residual(f: BlaschkeProduct, alpha: CirclePoint, power: int, ell: int) -> float:

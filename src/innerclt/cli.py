@@ -19,7 +19,7 @@ import numpy as np
 from . import _csvrows
 from .blaschke import BlaschkeProduct, CirclePoint, monomial
 from .clark import check_first_moment, check_second_moment, clark_measure, desintegrate
-from .clt import Tolerances, gauss_report, simulate, tails_run
+from .clt import Tolerances, gauss_report, simulate
 from .correlations import (BlockSum, CorrelationSpec, block_product_factorization,
                            decay_check, four_factor, higher_correlation,
                            pair_correlation, phi_exponent)
@@ -193,7 +193,7 @@ def run_verify(args) -> int:
     for name, passed, detail in rows:
         all_pass &= bool(passed)
         print(f"{'PASS' if passed else 'FAIL'} {name} ({detail})")
-    if args.csv and csv_rows is not None:
+    if args.csv:
         _write_csv(args.csv, csv_header, csv_rows)
     return 0 if all_pass else 1
 
@@ -219,12 +219,10 @@ def run_simulate(args) -> int:
     # tail runs write no samples.csv, and a failed run writes no report.json.
     for name in ("samples.csv", "report.json"):
         (out / name).unlink(missing_ok=True)
-    if mode == "tail":
-        report = tails_run(f, a, n, m, seed, tolerances=tol)
-    else:
-        dist = simulate(f, a, n, m, seed, mode=mode)
-        report = gauss_report(dist, tol)
-        _write_samples_csv(out / "samples.csv", dist.array())
+    samples = simulate(f, a, n, m, seed, mode=mode)
+    report = gauss_report(samples, tol)
+    if mode != "tail":
+        _write_samples_csv(out / "samples.csv", samples)
     payload = report.to_dict()
     payload["config"] = config
     with open(out / "report.json", "w") as fh:
@@ -257,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run a property suite")
     verify.add_argument("suite",
                         choices=["invariance", "clark", "correlations", "variance"])
-    verify.add_argument("--csv", help="optional CSV output path")
+    verify.add_argument("--csv", help="CSV table path (correlations and variance only)")
     verify.set_defaults(func=run_verify)
 
     clt = sub.add_parser("clt", help="sampling runs")
@@ -278,7 +276,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "verify" and args.csv and args.suite in ("invariance", "clark"):
+        # checked before any suite runs: these suites write no table
+        parser.error(f"verify {args.suite} writes no table for --csv")
     return args.func(args)
 
 

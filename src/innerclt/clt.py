@@ -3,13 +3,16 @@
 T_N = (sqrt(2) sigma_N)^{-1} sum_{n<=N} a_n f^n, sampled at uniform boundary
 points, is compared against the circularly symmetric complex normal with
 E|T|^2 = 1/2 (real and imaginary parts independent, each of variance 1/4).
+One path serves every normalized sum: `simulate` returns the samples of the
+main, corollary or tail sum as a read-only array, and `gauss_report` reads
+them.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -42,36 +45,7 @@ class Tolerances:
         return cls(**{k: float(v) for k, v in data.items()})
 
     def to_dict(self) -> dict:
-        return {"mean": self.mean, "abs2": self.abs2, "sq": self.sq,
-                "abs4": self.abs4, "ks": self.ks}
-
-
-@dataclass(frozen=True, eq=False)
-class EmpiricalDistribution:
-    """Samples of T_N, held read-only, with their provenance.
-
-    A read-only complex array that owns its memory is kept as it is;
-    anything else (a writable array, a view, a sequence) is copied.
-    """
-
-    samples: np.ndarray
-    N: int
-    M: int
-    seed: int
-    normalization: str  # "main", "tail" or "corollary"
-
-    def __post_init__(self):
-        samples = self.samples
-        if not (isinstance(samples, np.ndarray) and samples.dtype == complex
-                and samples.base is None and not samples.flags.writeable):
-            samples = np.array(samples, dtype=complex)
-            samples.flags.writeable = False
-        if samples.ndim != 1:
-            raise ValueError("samples must form a 1-D sequence")
-        object.__setattr__(self, "samples", samples)
-
-    def array(self) -> np.ndarray:
-        return self.samples
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -118,8 +92,7 @@ def _sample(f: BlaschkeProduct, coeffs: np.ndarray, M: int, seed: int,
     time into one preallocated array, so an orbit step's working set is a
     few 128 KiB complex arrays whatever M is.  Sample i depends only on
     (seed, i) and the orbit step is pointwise bit for bit, so the values do
-    not depend on BLOCK.  The array is returned read-only, so
-    EmpiricalDistribution holds it without a copy.
+    not depend on BLOCK.  The array is returned read-only.
     """
     out = np.empty(M, dtype=complex)
     for lo in range(0, M, BLOCK):
@@ -140,19 +113,48 @@ def sample_T(f: BlaschkeProduct, a: CoefficientSequence, N: int,
     return complex(_accumulate(f, a.array(N), z)) / math.sqrt(2.0 * sigma2)
 
 
-def simulate(f: BlaschkeProduct, a: CoefficientSequence, N: int, M: int,
-             seed: int, mode: str = "main") -> EmpiricalDistribution:
-    """M samples of the normalized sum at counter-seeded uniform angles.
+def _truncation_estimate(mass: np.ndarray) -> float:
+    """Geometric extrapolation of the squared-coefficient mass beyond storage."""
+    last, prev = mass[-1], mass[-2]
+    if last == 0.0:
+        return 0.0
+    if prev == 0.0 or last >= prev:
+        return math.inf
+    r = last / prev
+    return last * r / (1.0 - r)
 
-    mode "main" normalizes by sqrt(2) sigma_N; "corollary" by
-    sqrt(2 N sigma^2) with the asymptotic variance, testing that the two
-    agree in the limit.
+
+def simulate(f: BlaschkeProduct, a: CoefficientSequence, N: int, M: int,
+             seed: int, mode: str = "main") -> np.ndarray:
+    """M samples of a normalized sum at counter-seeded uniform angles, as
+    one read-only complex array.
+
+    mode "main" samples T_N; "corollary" the same sum over sqrt(2 N sigma^2)
+    with the asymptotic variance, testing that the two agree in the limit;
+    "tail" (sqrt(2) sigma(N))^{-1} sum_{n>=N} a_n f^n over the stored a_n,
+    whose geometric extrapolation of the squared-coefficient mass past
+    storage must stay below TRUNCATION_TOL times the stored tail mass.
+    Every check raises before the first orbit step.
     """
     if M < 1000:
         raise ValueError("need M >= 1000")
+    lam = f.taylor_at_zero().c1
+    if mode == "tail":
+        if not 2 <= N <= len(a) - 1:
+            raise ValueError("need 2 <= N <= stored length - 1")
+        mass = np.abs(a.array()) ** 2
+        tail_mass = float(np.sum(mass[N - 1:]))
+        if tail_mass == 0.0:
+            raise ValueError("stored tail is identically zero")
+        est = _truncation_estimate(mass)
+        if est > TRUNCATION_TOL * tail_mass:
+            raise HeavyTruncation(
+                f"estimated truncated mass {est:.3e} exceeds "
+                f"{TRUNCATION_TOL:g} * tail mass {tail_mass:.3e}")
+        scale = math.sqrt(2.0 * tail_sigma_squared(a, lam, N))
+        return _sample(f, a.array()[N - 1:], M, seed, scale, start_power=N)
     if not 1 <= N <= len(a):
         raise ValueError("need 1 <= N <= stored coefficient length")
-    lam = f.taylor_at_zero().c1
     sigma2 = sigma_N_squared(a, lam, N)
     if sigma2 == 0.0:
         raise ValueError("normalized sum is identically zero")
@@ -162,9 +164,7 @@ def simulate(f: BlaschkeProduct, a: CoefficientSequence, N: int, M: int,
         scale = math.sqrt(2.0 * N * asymptotic_sigma_squared(lam))
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    values = _sample(f, a.array(N), M, seed, scale)
-    return EmpiricalDistribution(samples=values, N=N, M=M, seed=seed,
-                                 normalization=mode)
+    return _sample(f, a.array(N), M, seed, scale)
 
 
 def _ks_normal(x: np.ndarray, sd: float) -> float:
@@ -188,10 +188,13 @@ def _ks_normal(x: np.ndarray, sd: float) -> float:
     return float(max(np.max(d_plus), np.max(d_minus)))
 
 
-def gauss_report(dist: EmpiricalDistribution,
-                 tolerances: Tolerances = Tolerances()) -> GaussFitReport:
-    """Moment and Kolmogorov-Smirnov diagnostics against the target law."""
-    x = dist.array()
+def gauss_report(x, tolerances: Tolerances = Tolerances()) -> GaussFitReport:
+    """Moment and Kolmogorov-Smirnov diagnostics of the samples x against the
+    target law.  x is any 1-D sequence; a complex array is read without a copy.
+    """
+    x = np.asarray(x, dtype=complex)
+    if x.ndim != 1:
+        raise ValueError("samples must form a 1-D sequence")
     if len(x) < KS_MIN_SAMPLES:
         raise InsufficientSamples(
             f"KS statistics need >= {KS_MIN_SAMPLES} samples, got {len(x)}")
@@ -214,40 +217,3 @@ def gauss_report(dist: EmpiricalDistribution,
                           ks_re=ks_re, ks_im=ks_im, ks_noise=ks_noise,
                           passed=passed, tolerances=t)
 
-
-def _truncation_estimate(mass: np.ndarray) -> float:
-    """Geometric extrapolation of the squared-coefficient mass beyond storage."""
-    last, prev = mass[-1], mass[-2]
-    if last == 0.0:
-        return 0.0
-    if prev == 0.0 or last >= prev:
-        return math.inf
-    r = last / prev
-    return last * r / (1.0 - r)
-
-
-def tails_run(f: BlaschkeProduct, a: CoefficientSequence, N: int, M: int,
-              seed: int, tolerances: Tolerances = Tolerances()) -> GaussFitReport:
-    """Diagnostics for the tail sum (sqrt(2) sigma(N))^{-1} sum_{n>=N} a_n f^n.
-
-    The stored sequence truncates the true tail; a geometric extrapolation
-    of the squared-coefficient mass past storage must stay below
-    TRUNCATION_TOL times the stored tail mass.
-    """
-    if not 2 <= N <= len(a) - 1:
-        raise ValueError("need 2 <= N <= stored length - 1")
-    mass = np.abs(a.array()) ** 2
-    tail_mass = float(np.sum(mass[N - 1:]))
-    if tail_mass == 0.0:
-        raise ValueError("stored tail is identically zero")
-    est = _truncation_estimate(mass)
-    if est > TRUNCATION_TOL * tail_mass:
-        raise HeavyTruncation(
-            f"estimated truncated mass {est:.3e} exceeds "
-            f"{TRUNCATION_TOL:g} * tail mass {tail_mass:.3e}")
-    sigma2 = tail_sigma_squared(a, f.taylor_at_zero().c1, N)
-    values = _sample(f, a.array()[N - 1:], M, seed, math.sqrt(2.0 * sigma2),
-                     start_power=N)
-    dist = EmpiricalDistribution(samples=values, N=N, M=M, seed=seed,
-                                 normalization="tail")
-    return gauss_report(dist, tolerances)

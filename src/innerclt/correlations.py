@@ -12,7 +12,6 @@ with f^0 = z: its grid and budget are set by the spread n_k - n_1, not n_k.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -185,18 +184,16 @@ def block_product_factorization(f: BlaschkeProduct, blocks) -> FactorizationResu
                 f"blocks {left.block} and {right.block} are not separated")
 
     # prod |xi_k|^2 over a run of blocks, on indices shifted by the run's
-    # smallest one: the lhs runs all blocks, each rhs factor one.  Each xi_k
-    # sums in its block's order over the iterates walked since the last block.
+    # smallest one, base (its[n - base] is f^{n - base}): the lhs runs all
+    # blocks, each rhs factor one.  Each xi_k sums in its block's order.
     def abs2_product(group, z):
-        walked = min(group[0].block)
-        walk = enumerate(f.orbit(z, max(group[-1].block) - walked), start=walked)
+        base = min(group[0].block)
+        its = list(f.orbit(z, max(group[-1].block) - base))
         out = np.ones_like(z, dtype=float)
         for b in group:
-            its = dict(itertools.islice(walk, max(b.block) + 1 - walked))
-            walked = max(b.block) + 1
             xi = np.zeros_like(z)
             for n, c in zip(b.block, b.coefficients):
-                xi = xi + c * its[n]
+                xi = xi + c * its[n - base]
             out = out * np.abs(xi) ** 2
         return out
 
@@ -354,20 +351,17 @@ def decay_check(f: BlaschkeProduct, specs, q: int | None = None) -> DecayCheck:
         if q is not None and spec.min_gap < q:
             raise ValueError(f"spec {spec.indices} has gap below q={q}")
     a = abs(f.taylor_at_zero().c1)
-    if a == 0.0:
-        rows = []
-        for spec in specs:
-            value = higher_correlation(f, spec)
-            rows.append((spec.k, spec.min_gap, math.inf, abs(value), 0.0, True))
-        return DecayCheck(0.0, True, True, tuple(rows))
     fitted = 0.0
     rows = []
     for spec in specs:
         value = higher_correlation(f, spec)
+        if a == 0.0:  # f'(0) = 0: no decay rate to fit, every row passes
+            rows.append((spec.k, spec.min_gap, math.inf, abs(value), 0.0, True))
+            continue
         report = phi_exponent(spec)
         scale = math.factorial(spec.k) * a ** report.phi
         c_here = (abs(value) / scale) ** (1.0 / spec.k) if abs(value) > 0 else 0.0
         fitted = max(fitted, c_here)
         rows.append((spec.k, spec.min_gap, report.phi, abs(value), scale,
                      c_here <= C_CAP))
-    return DecayCheck(fitted, fitted <= C_CAP, False, tuple(rows))
+    return DecayCheck(fitted, fitted <= C_CAP, a == 0.0, tuple(rows))

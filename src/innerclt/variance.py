@@ -20,10 +20,9 @@ from .quadrature import circle_grid, integrate
 
 @dataclass(frozen=True, eq=False)
 class CoefficientSequence:
-    """Complex coefficients a_1, ..., a_L (a read-only copy) with a generator tag."""
+    """Complex coefficients a_1, ..., a_L (a read-only copy)."""
 
     values: np.ndarray
-    tag: str = "explicit"
 
     def __post_init__(self):
         values = np.array(self.values, dtype=complex)
@@ -48,23 +47,23 @@ class CoefficientSequence:
 
     @classmethod
     def ones(cls, n: int) -> "CoefficientSequence":
-        return cls(np.ones(n, dtype=complex), tag="constant")
+        return cls(np.ones(n, dtype=complex))
 
     @classmethod
     def explicit(cls, values) -> "CoefficientSequence":
-        return cls(values, tag="explicit")
+        return cls(values)
 
     @classmethod
     def random_signs(cls, n: int, seed: int) -> "CoefficientSequence":
         rng = np.random.default_rng(seed)
-        return cls(rng.choice([-1.0, 1.0], size=n), tag=f"random-signs({seed})")
+        return cls(rng.choice([-1.0, 1.0], size=n))
 
     @classmethod
     def geometric(cls, r: float, n: int) -> "CoefficientSequence":
         if not 0.0 < abs(r) < 1.0:
             raise ValueError("ratio must satisfy 0 < |r| < 1")
         # Python complex powers, not np.power, whose last bits differ
-        return cls([complex(r) ** k for k in range(1, n + 1)], tag=f"geometric({r})")
+        return cls([complex(r) ** k for k in range(1, n + 1)])
 
 
 def _cross_sum(arr: np.ndarray, lam: complex) -> complex:

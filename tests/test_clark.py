@@ -119,12 +119,12 @@ class TestClarkMeasureArray:
 
     def test_angles_are_canonical(self):
         # -5e-324 % 2 pi rounds to 2 pi, which must become 0
-        mu = ClarkMeasure(CirclePoint(0.0), [[-5e-324, 0.25], [TWO_PI, 0.25], [7.0, 0.5]], 2)
+        mu = ClarkMeasure(CirclePoint(0.0), [[-5e-324, 0.25], [TWO_PI, 0.25], [7.0, 0.5]])
         assert mu.angles.tolist() == [0.0, 0.0, 7.0 % TWO_PI]
 
     def test_rejects_ragged_atoms(self):
         with pytest.raises(ValueError):
-            ClarkMeasure(CirclePoint(0.0), [1.0, 0.5], 1)
+            ClarkMeasure(CirclePoint(0.0), [1.0, 0.5])
 
 
 class TestPullback:

@@ -61,6 +61,18 @@ class TestVerifyCommand:
                            "quasi_ratio", "Q_N"]
         assert len(rows) == 4
 
+    @pytest.mark.parametrize("suite", ["invariance", "clark"])
+    def test_csv_rejected_for_suites_without_a_table(self, tmp_path, capsys,
+                                                     stepped, suite):
+        csv_path = tmp_path / "out.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", suite, "--csv", str(csv_path)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "writes no table" in captured.err and captured.out == ""
+        assert not csv_path.exists()
+        assert stepped == []  # rejected before any check runs
+
     def test_correlations_suite_with_csv(self, tmp_path):
         csv_path = tmp_path / "corr.csv"
         assert main(["verify", "correlations", "--csv", str(csv_path)]) == 0
@@ -183,7 +195,7 @@ class TestSamplesCsv:
         """m simulated samples with the edge values on both sides of every
         block boundary and at the end."""
         samples = simulate(monomial(2), CoefficientSequence.ones(12), 12,
-                           m, seed=42).array().copy()
+                           m, seed=42).copy()
         k = len(self.EDGE)
         before = self._complex(self.EDGE, self.EDGE[::-1])
         for b in range(BLOCK, m, BLOCK):
@@ -196,7 +208,7 @@ class TestSamplesCsv:
     def test_bytes_match_csv_writer(self, tmp_path, kind):
         if kind == "simulate":
             samples = simulate(monomial(2), CoefficientSequence.ones(12), 12,
-                               5000, seed=42).array()
+                               5000, seed=42)
         else:
             samples = self._complex(self.EDGE, self.EDGE[::-1])
         _write_samples_csv(tmp_path / "fast.csv", samples)

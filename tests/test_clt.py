@@ -14,10 +14,9 @@ from scipy import stats
 from scipy.special import ndtr
 
 import innerclt
-from innerclt import clt
 from innerclt.blaschke import BlaschkeProduct, CirclePoint, monomial
-from innerclt.clt import (BLOCK, EmpiricalDistribution, Tolerances, _accumulate,
-                          _ks_normal, gauss_report, sample_T, simulate, tails_run)
+from innerclt.clt import (BLOCK, Tolerances, _accumulate, _ks_normal, gauss_report,
+                          sample_T, simulate)
 from innerclt._ndtr import SQRT1_2, _X_UNDER, _exp_neg_square, ndtr_sorted
 from innerclt.errors import HeavyTruncation, InsufficientSamples
 from innerclt.quadrature import integrate, uniform_angles
@@ -45,35 +44,40 @@ class TestSampleT:
         assert sample_T(monomial(2), zero, 3, CirclePoint(1.0)) == 0.0
 
     def test_matches_simulate_pipeline(self):
-        dist = simulate(DEG2_HALF, ONES, 6, 1000, seed=5)
+        samples = simulate(DEG2_HALF, ONES, 6, 1000, seed=5)
         # re-evaluate single sample points, drawn on their own, by the scalar path
         from innerclt.quadrature import uniform_angles
         for i in (0, 1, 123, 500, 999):
             theta = float(uniform_angles(5, 1, start=i)[0])
             direct = sample_T(DEG2_HALF, ONES, 6, CirclePoint(theta))
-            assert abs(direct - dist.array()[i]) < 1e-12
+            assert abs(direct - samples[i]) < 1e-12
 
 
 class TestSimulate:
     def test_deterministic(self):
         d1 = simulate(monomial(2), ONES, 8, 2000, seed=99)
         d2 = simulate(monomial(2), ONES, 8, 2000, seed=99)
-        assert np.array_equal(d1.array(), d2.array())
+        assert np.array_equal(d1, d2)
 
     def test_seed_changes_samples(self):
         d1 = simulate(monomial(2), ONES, 8, 2000, seed=1)
         d2 = simulate(monomial(2), ONES, 8, 2000, seed=2)
-        assert not np.array_equal(d1.array(), d2.array())
+        assert not np.array_equal(d1, d2)
 
     def test_sample_mean_scales(self):
         d = simulate(monomial(2), ONES, 18, 200_000, seed=3)
-        m = np.mean(d.array())
-        assert abs(m) < 5.0 / math.sqrt(d.M)
+        assert abs(np.mean(d)) < 5.0 / math.sqrt(len(d))
 
     def test_corollary_mode_second_moment(self):
         d = simulate(monomial(2), ONES, 18, 100_000, seed=4, mode="corollary")
-        e2 = float(np.mean(np.abs(d.array()) ** 2))
+        e2 = float(np.mean(np.abs(d) ** 2))
         assert abs(e2 - 0.5) < 0.02
+
+    def test_returns_read_only_samples(self):
+        x = simulate(monomial(2), ONES, 8, 2000, seed=0)
+        assert x.shape == (2000,) and x.dtype == complex
+        with pytest.raises(ValueError):
+            x[0] = 1.0
 
     def test_minimum_samples(self):
         with pytest.raises(ValueError):
@@ -92,7 +96,7 @@ class TestSimulate:
 
 
 class TestBlockedSampling:
-    """simulate and tails_run sample BLOCK points at a time into one array.
+    """simulate samples BLOCK points at a time into one array, in every mode.
 
     The samples must equal, bit for bit, one whole-array _accumulate pass,
     whether M is below, at or past a block boundary.
@@ -115,32 +119,29 @@ class TestBlockedSampling:
         scales = {"main": math.sqrt(2.0 * sigma_N_squared(ONES, lam, n)),
                   "corollary": math.sqrt(2.0 * n * asymptotic_sigma_squared(lam))}
         for mode, scale in scales.items():
-            dist = simulate(f, ONES, n, M, seed=11, mode=mode)
+            samples = simulate(f, ONES, n, M, seed=11, mode=mode)
             ref = self.whole_array(f, ONES.array(n), M, 11, scale)
-            assert np.array_equal(dist.array(), ref), mode
+            assert np.array_equal(samples, ref), mode
 
     @pytest.mark.parametrize("M", SIZES)
     @pytest.mark.parametrize("f", MAPS)
-    def test_tails_run_matches_whole_array(self, monkeypatch, f, M):
-        # catch the samples tails_run hands to gauss_report
-        seen = []
-        monkeypatch.setattr(clt, "gauss_report", lambda dist, tol: seen.append(dist))
+    def test_tail_mode_matches_whole_array(self, f, M):
         a = CoefficientSequence.geometric(0.6, 24)
-        tails_run(f, a, 6, M, seed=12)
+        samples = simulate(f, a, 6, M, seed=12, mode="tail")
         scale = math.sqrt(2.0 * tail_sigma_squared(a, f.taylor_at_zero().c1, 6))
         ref = self.whole_array(f, a.array()[5:], M, 12, scale, start_power=6)
-        assert np.array_equal(seen[0].array(), ref)
+        assert np.array_equal(samples, ref)
 
     @staticmethod
     def peak_ratio(M):
         """Peak traced bytes of simulate over the bytes of its samples."""
         tracemalloc.start()
         try:
-            dist = simulate(DEG2_HALF, ONES, 14, M, seed=13)
+            samples = simulate(DEG2_HALF, ONES, 14, M, seed=13)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        return peak / dist.array().nbytes
+        return peak / samples.nbytes
 
     @pytest.mark.parametrize("M", [60_000, 2 ** 18])
     def test_memory_does_not_grow_with_M(self, M):
@@ -164,7 +165,7 @@ class TestKsNormal:
     @pytest.mark.parametrize("f,n,m,seed", [(monomial(2), 18, 200_000, 12345),
                                             (DEG2_HALF, 14, 100_000, 777)])
     def test_headline_columns(self, f, n, m, seed):
-        x = simulate(f, CoefficientSequence.ones(n), n, m, seed).array()
+        x = simulate(f, CoefficientSequence.ones(n), n, m, seed)
         for col in (x.real, x.imag, np.round(x.real, 2)):
             assert _ks_normal(col, 0.5) == self._reference(col).statistic
 
@@ -297,46 +298,20 @@ class TestGaussReport:
         rng = np.random.default_rng(8)
         samples = (rng.normal(0, 0.5, 100_000)
                    + 1j * rng.normal(0, 0.5, 100_000))
-        dist = EmpiricalDistribution(tuple(samples), N=0, M=100_000, seed=8,
-                                     normalization="main")
-        rep = gauss_report(dist, Tolerances(0.01, 0.01, 0.01, 0.03, 0.01))
+        rep = gauss_report(tuple(samples), Tolerances(0.01, 0.01, 0.01, 0.03, 0.01))
         assert rep.passed, rep
 
-    def test_samples_are_read_only_copy(self):
-        src = np.arange(5, dtype=complex)
-        dist = EmpiricalDistribution(src, N=1, M=5, seed=0, normalization="main")
-        src[0] = 7.0
-        assert np.array_equal(dist.array(), np.arange(5))
-        with pytest.raises(ValueError):
-            dist.array()[0] = 1.0
-        with pytest.raises(ValueError):
-            EmpiricalDistribution(np.zeros((2, 3)), N=1, M=6, seed=0,
-                                  normalization="main")
+    def test_sequence_reads_as_its_array(self):
+        x = simulate(monomial(2), ONES, 8, 20_000, seed=1)
+        assert gauss_report(tuple(x)) == gauss_report(x)
 
-    def test_read_only_array_is_held_without_copy(self):
-        src = np.arange(5, dtype=complex)
-        src.flags.writeable = False
-        dist = EmpiricalDistribution(src, N=1, M=5, seed=0, normalization="main")
-        assert dist.array() is src
-        # the array simulate and tails_run hand over
-        values = clt._sample(monomial(2), ONES.array(4), 1000, 0, 1.0)
-        assert EmpiricalDistribution(values, N=4, M=1000, seed=0,
-                                     normalization="main").array() is values
-
-    def test_read_only_view_of_writable_array_is_copied(self):
-        base = np.arange(6, dtype=complex)
-        view = base[1:]
-        view.flags.writeable = False
-        dist = EmpiricalDistribution(view, N=1, M=5, seed=0, normalization="main")
-        base[1] = 7.0
-        assert np.array_equal(dist.array(), np.arange(1, 6))
-        assert not np.shares_memory(dist.array(), base)
+    def test_rejects_two_dimensional_samples(self):
+        with pytest.raises(ValueError, match="1-D"):
+            gauss_report(np.zeros((2, 10_000), dtype=complex))
 
     def test_insufficient_samples(self):
-        dist = EmpiricalDistribution((0j,) * 100, N=1, M=100, seed=0,
-                                     normalization="main")
         with pytest.raises(InsufficientSamples):
-            gauss_report(dist)
+            gauss_report((0j,) * 100)
 
     def test_small_n_negative_control(self):
         d = simulate(monomial(2), ONES, 2, 50_000, seed=12345)
@@ -362,23 +337,44 @@ class TestGaussReport:
                           "pass", "tolerances"}
 
 
-class TestTailsRun:
+class TestTailMode:
     def test_geometric_tail_second_moment(self):
         a = CoefficientSequence.geometric(0.9, 250)
-        rep = tails_run(monomial(2), a, 5, 50_000, seed=21)
+        rep = gauss_report(simulate(monomial(2), a, 5, 50_000, seed=21, mode="tail"))
         assert abs(rep.e_abs2 - 0.5) < 0.02
-
-    def test_heavy_truncation_guard(self):
-        # 1/n falls off too slowly for the stored range to capture the tail
-        a = CoefficientSequence.explicit([1.0 / n for n in range(1, 201)])
-        with pytest.raises(HeavyTruncation):
-            tails_run(monomial(2), a, 50, 20_000, seed=0)
 
     def test_single_term_degenerate_control(self):
         vals = [0.0] * 30
         vals[20] = 1.0
         vals[29] = 0.0
         a = CoefficientSequence.explicit(vals)
-        rep = tails_run(monomial(2), a, 10, 20_000, seed=1)
+        rep = gauss_report(simulate(monomial(2), a, 10, 20_000, seed=1, mode="tail"))
         assert not rep.passed
         assert abs(rep.e_abs2 - 0.5) < 1e-9  # |T| = 1/sqrt(2) exactly
+
+    # every check raises before the first orbit step
+    @pytest.mark.parametrize("N", [1, 24])
+    def test_bad_N(self, stepped, N):
+        with pytest.raises(ValueError, match="stored length"):
+            simulate(monomial(2), CoefficientSequence.geometric(0.5, 24), N,
+                     20_000, seed=0, mode="tail")
+        assert stepped == []
+
+    def test_zero_tail(self, stepped):
+        a = CoefficientSequence.explicit([1.0] * 5 + [0.0] * 5)
+        with pytest.raises(ValueError, match="identically zero"):
+            simulate(monomial(2), a, 6, 20_000, seed=0, mode="tail")
+        assert stepped == []
+
+    def test_heavy_truncation_guard(self, stepped):
+        # 1/n falls off too slowly for the stored range to capture the tail
+        a = CoefficientSequence.explicit([1.0 / n for n in range(1, 201)])
+        with pytest.raises(HeavyTruncation):
+            simulate(monomial(2), a, 50, 20_000, seed=0, mode="tail")
+        assert stepped == []
+
+    def test_minimum_samples(self, stepped):
+        with pytest.raises(ValueError, match="M >= 1000"):
+            simulate(monomial(2), CoefficientSequence.geometric(0.5, 24), 6,
+                     999, seed=0, mode="tail")
+        assert stepped == []
