@@ -112,9 +112,11 @@ class BlaschkeProduct:
 
     # -- evaluation ---------------------------------------------------------
 
-    # Public entry points validate their points; the private _eval, _step and
-    # _derivative do not.  Iterating callers walk orbit, which validates once
-    # and then calls _step, whose output is unimodular and so always valid.
+    # Public entry points validate their points; the private _eval, _step,
+    # _walk and _derivative do not.  orbit validates once and then walks
+    # _step, whose output is unimodular and so always valid.  The package's
+    # own circle points (quadrature nodes, clt's sample points) go straight
+    # to _step and _walk.
 
     def _validate_points(self, w: np.ndarray):
         if not np.all(np.isfinite(w)):
@@ -143,9 +145,18 @@ class BlaschkeProduct:
         return complex(out) if arr.ndim == 0 else out
 
     def _step(self, z):
-        """One boundary step f(z) / |f(z)|, without validation."""
+        """One boundary step f(z) / |f(z)|, without validation.
+
+        numpy divides by the complex-cast modulus r + 0j as
+        ((re + im * 0) * (1 / r), (im - re * 0) * (1 / r)), so a product with
+        1 / r has the same bits wherever no component is zero; there a zero
+        could change sign, and the block is divided as numpy divides it.
+        """
         out = self._eval(np.asarray(z, dtype=complex))
-        return out / np.abs(out)
+        r = np.abs(out)
+        if np.ndim(out) == 0 or (out.view(np.float64) == 0).any():
+            return out / r
+        return out * (1.0 / r)
 
     def __call__(self, w):
         arr = np.asarray(w, dtype=complex)

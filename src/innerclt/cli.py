@@ -19,7 +19,7 @@ import numpy as np
 from . import _csvrows
 from .blaschke import BlaschkeProduct, CirclePoint, monomial
 from .clark import check_first_moment, check_second_moment, clark_measure, desintegrate
-from .clt import Tolerances, gauss_report, simulate
+from .clt import Tolerances, gauss_report, require_ks_samples, simulate
 from .correlations import (BlockSum, CorrelationSpec, block_product_factorization,
                            decay_check, four_factor, higher_correlation,
                            pair_correlation, phi_exponent)
@@ -219,6 +219,8 @@ def run_simulate(args) -> int:
     # tail runs write no samples.csv, and a failed run writes no report.json.
     for name in ("samples.csv", "report.json"):
         (out / name).unlink(missing_ok=True)
+    # simulate accepts M >= 1000, but the report needs more: fail before sampling
+    require_ks_samples(m)
     samples = simulate(f, a, n, m, seed, mode=mode)
     report = gauss_report(samples, tol)
     if mode != "tail":

@@ -76,8 +76,12 @@ class GaussFitReport:
 
 def _accumulate(f: BlaschkeProduct, coeffs: np.ndarray, z: np.ndarray,
                 start_power: int = 1) -> np.ndarray:
-    """sum_j coeffs[j] f^{start_power + j}(z), one orbit pass."""
-    orbit = f.orbit(z, start_power + len(coeffs) - 1)
+    """sum_j coeffs[j] f^{start_power + j}(z), one orbit pass.
+
+    z are the package's own circle points (counter-seeded angles or a
+    CirclePoint), so the orbit is walked without validation.
+    """
+    orbit = f._walk(z, start_power + len(coeffs) - 1)
     acc = np.zeros_like(z)
     for c, cur in zip(coeffs, itertools.islice(orbit, start_power, None)):
         acc = acc + c * cur
@@ -188,6 +192,14 @@ def _ks_normal(x: np.ndarray, sd: float) -> float:
     return float(max(np.max(d_plus), np.max(d_minus)))
 
 
+def require_ks_samples(count: int):
+    """Raise InsufficientSamples if count is below KS_MIN_SAMPLES, the least
+    gauss_report reads; a caller can check this before it samples."""
+    if count < KS_MIN_SAMPLES:
+        raise InsufficientSamples(
+            f"KS statistics need >= {KS_MIN_SAMPLES} samples, got {count}")
+
+
 def gauss_report(x, tolerances: Tolerances = Tolerances()) -> GaussFitReport:
     """Moment and Kolmogorov-Smirnov diagnostics of the samples x against the
     target law.  x is any 1-D sequence; a complex array is read without a copy.
@@ -195,9 +207,7 @@ def gauss_report(x, tolerances: Tolerances = Tolerances()) -> GaussFitReport:
     x = np.asarray(x, dtype=complex)
     if x.ndim != 1:
         raise ValueError("samples must form a 1-D sequence")
-    if len(x) < KS_MIN_SAMPLES:
-        raise InsufficientSamples(
-            f"KS statistics need >= {KS_MIN_SAMPLES} samples, got {len(x)}")
+    require_ks_samples(len(x))
     mean = complex(np.mean(x))
     e_sq = complex(np.mean(x ** 2))
     r = np.abs(x)

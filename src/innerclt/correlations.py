@@ -130,13 +130,14 @@ def _signed_integrand(f: BlaschkeProduct, signs, powers):
 
     powers are nondecreasing.  A conjugated factor is a fresh temporary and
     goes on the left of its product, as in the Blaschke kernel, so a point's
-    bits do not depend on how many points share the call.
+    bits do not depend on how many points share the call.  z are quadrature
+    nodes, on the circle, so the orbit is walked without validation.
     """
     signs_at = {n: [s for s, m in zip(signs, powers) if m == n] for n in powers}
 
     def g(z):
         out = np.ones_like(z)
-        for n, cur in enumerate(f.orbit(z, powers[-1])):
+        for n, cur in enumerate(f._walk(z, powers[-1])):
             for s in signs_at.get(n, ()):
                 out = out * cur if s > 0 else np.conj(cur) * out
         return out
@@ -188,7 +189,7 @@ def block_product_factorization(f: BlaschkeProduct, blocks) -> FactorizationResu
     # blocks, each rhs factor one.  Each xi_k sums in its block's order.
     def abs2_product(group, z):
         base = min(group[0].block)
-        its = list(f.orbit(z, max(group[-1].block) - base))
+        its = list(f._walk(z, max(group[-1].block) - base))
         out = np.ones_like(z, dtype=float)
         for b in group:
             xi = np.zeros_like(z)

@@ -65,12 +65,57 @@ def degree_aware_grid(total_degree: int) -> int:
     return min(DEFAULT_MAX_GRID, max(DEFAULT_MIN_GRID, next_power_of_two(8 * total_degree)))
 
 
-def _level(g, n: int, start: int, step: int) -> np.ndarray:
-    """g at the nodes circle_grid(n)[start::step], bit for bit, BLOCK nodes per call."""
-    blocks = (_nodes(np.arange(lo, min(lo + step * BLOCK, n), step), n)
-              for lo in range(start, n, step * BLOCK))
-    # broadcast, so an integrand that returns a constant still works
-    return np.concatenate([np.broadcast_to(np.asarray(g(z)), z.shape) for z in blocks])
+# The nodes that level n adds to level n // 2: circle_grid(n)[1::2], and the
+# node 1 for n = 1.  Each level is computed the first time an integral needs
+# it and is then shared, read-only, by every later integral of the process;
+# its contents depend on n alone, so no caller can see another's use.  All
+# levels up to the cap hold DEFAULT_MAX_GRID nodes (4 MiB).  A node keeps its
+# bits from level to level: TWO_PI * 2k / 2n only scales both operands of
+# the division by 2, which is exact.
+_NEW_NODES: dict = {}
+
+
+def _new_nodes(n: int) -> np.ndarray:
+    nodes = _NEW_NODES.get(n)
+    if nodes is None:
+        nodes = _NEW_NODES[n] = _nodes(np.arange(n > 1, n, 2), n)
+        nodes.flags.writeable = False
+    return nodes
+
+
+def _grid(n: int) -> np.ndarray:
+    """circle_grid(n) for a power of two n, bit for bit, from the node table."""
+    out = np.empty(n, dtype=complex)
+    out[0] = _new_nodes(1)[0]
+    m = 2
+    while m <= n:
+        out[n // m::2 * n // m] = _new_nodes(m)
+        m *= 2
+    return out
+
+
+def _level(g, nodes: np.ndarray, prev: np.ndarray | None = None) -> np.ndarray:
+    """g at nodes, BLOCK nodes per call, interleaved with prev if given.
+
+    Each block is a fresh copy, so an integrand that writes into its argument
+    cannot change the node table.  With prev, the values of the previous
+    level, the result holds prev at even and g at odd positions; g's blocks
+    are written there directly, so the level is never copied whole.  Every
+    block of g must cast safely to the dtype of the first one.
+    """
+    step = 1 if prev is None else 2
+    out = None
+    for lo in range(0, len(nodes), BLOCK):
+        z = nodes[lo:lo + BLOCK].copy()
+        val = np.asarray(g(z))
+        if out is None:
+            dtype = val.dtype if prev is None else np.result_type(prev, val)
+            out = np.empty(step * len(nodes), dtype=dtype)
+        # broadcasts, so an integrand that returns a constant still works
+        np.copyto(out[step * lo + step - 1:step * (lo + len(z)):step], val, casting="safe")
+    if prev is not None:
+        out[0::2] = prev
+    return out
 
 
 def integrate(g, tol: float = 1e-12, degree: int = 0) -> QuadratureResult:
@@ -85,9 +130,12 @@ def integrate(g, tol: float = 1e-12, degree: int = 0) -> QuadratureResult:
     e^{2 pi i k / n}, k odd, and their values are interleaved with the
     previous level's.  Each integral thus evaluates g at grid_size points
     in total, at most BLOCK points per call, so the temporaries of g stay
-    in cache.  The estimated error is the difference between the last two
-    refinement levels; since the integrands here are analytic in an
-    annulus, convergence is geometric and the estimate is conservative.
+    in cache.  The nodes come from a node table that computes each level
+    once per process and holds at most DEFAULT_MAX_GRID nodes (4 MiB); g
+    gets a fresh copy of each block.  The estimated error is the difference
+    between the last two refinement levels; since the integrands here are
+    analytic in an annulus, convergence is geometric and the estimate is
+    conservative.
     """
     if tol < 1e-14:
         raise ValueError("tol must be >= 1e-14")
@@ -95,16 +143,12 @@ def integrate(g, tol: float = 1e-12, degree: int = 0) -> QuadratureResult:
     if grid == DEFAULT_MAX_GRID:
         raise BudgetExceeded(
             f"harmonic degree {degree} puts the start grid at the cap {DEFAULT_MAX_GRID}")
-    vals = _level(g, grid, 0, 1)
+    vals = _level(g, _grid(grid))
     value = complex(np.mean(vals))
     delta = math.inf
     while grid < DEFAULT_MAX_GRID:
         grid *= 2
-        odd = _level(g, grid, 1, 2)
-        both = np.empty(grid, dtype=np.result_type(vals, odd))
-        both[0::2] = vals
-        both[1::2] = odd
-        vals = both
+        vals = _level(g, _new_nodes(grid), vals)
         prev, value = value, complex(np.mean(vals))
         delta = abs(value - prev)
         if delta <= tol:
@@ -159,8 +203,11 @@ def mc_integrate(g, samples: int, seed: int) -> MonteCarloResult:
 
 
 def check_invariance(f, observable) -> InvarianceCheck:
-    """Residual of |int G(f(z)) dm - int G dm|; the check passes at <= 1e-10."""
+    """Residual of |int G(f(z)) dm - int G dm|; the check passes at <= 1e-10.
+
+    The quadrature nodes lie on the circle, so f steps them unvalidated.
+    """
     direct = integrate(observable, tol=INVARIANCE_QUAD_TOL)
-    composed = integrate(lambda z: observable(f.boundary_step(z)), tol=INVARIANCE_QUAD_TOL)
+    composed = integrate(lambda z: observable(f._step(z)), tol=INVARIANCE_QUAD_TOL)
     residual = abs(composed.value - direct.value)
     return InvarianceCheck(residual <= 1e-10, residual)

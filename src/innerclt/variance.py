@@ -181,12 +181,15 @@ def auxiliary_bound_check(a: CoefficientSequence, lam: complex,
 
 
 def _partial_sum_moment(f, a: CoefficientSequence, N: int, p: int) -> float:
-    """int |sum a_n f^{n-1}|^p dm, by f-invariance of m that of sum a_n f^n."""
+    """int |sum a_n f^{n-1}|^p dm, by f-invariance of m that of sum a_n f^n.
+
+    The integrand walks the orbit of the quadrature nodes unvalidated.
+    """
     coeffs = a.array(N)
 
     def g(z):
         out = np.zeros_like(z)
-        for c, cur in zip(coeffs, f.orbit(z, N - 1)):
+        for c, cur in zip(coeffs, f._walk(z, N - 1)):
             out = out + c * cur
         return np.abs(out) ** p
 

@@ -11,7 +11,10 @@ from hypothesis import strategies as st
 from innerclt import clt
 from innerclt.blaschke import (BlaschkeProduct, CirclePoint, fit_size_bound_exponent,
                                iterate_derivative_on_circle, monomial, taylor_table)
-from innerclt.quadrature import circle_grid, uniform_angles
+from innerclt.correlations import (BlockSum, CorrelationSpec, block_product_factorization,
+                                   four_factor, higher_correlation, pair_correlation)
+from innerclt.quadrature import check_invariance, circle_grid, uniform_angles
+from innerclt.variance import CoefficientSequence, l2_identity_check
 
 DEG2_HALF = BlaschkeProduct(zeros=(0.0, 0.5))
 DEG3_MIXED = BlaschkeProduct(zeros=(0.0, 0.3 + 0.4j, -0.2j),
@@ -210,7 +213,8 @@ class TestBoundaryDynamics:
 
 
 class TestOrbitKernel:
-    """Iterating callers validate once, then step without validation.
+    """Public iterating callers validate once, then step without validation;
+    the package's own circle points are not validated at all.
 
     Their output must equal, bit for bit, a loop of public boundary_step
     calls, which validate at every step.
@@ -326,7 +330,6 @@ class TestOrbitKernel:
         "boundary_orbit": lambda f, z: f.boundary_orbit(z, 3),
         "boundary_iterates": lambda f, z: f.boundary_iterates(z, 3),
         "iterate_derivative": lambda f, z: iterate_derivative_on_circle(f, z, 3),
-        "accumulate": lambda f, z: clt._accumulate(f, np.ones(3, dtype=complex), z),
     }
 
     @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
@@ -338,6 +341,33 @@ class TestOrbitKernel:
         z = np.append(self.points(16), bad)
         with pytest.raises(ValueError, match=match):
             self.ENTRY_POINTS[entry](self.NEAR_CIRCLE, z)
+
+
+    # every caller that steps only the package's own circle points
+    PACKAGE_CALLERS = {
+        "pair_correlation": lambda: pair_correlation(DEG2_HALF, 1, 4),
+        "four_factor": lambda: four_factor(DEG2_HALF, (1, -1, 1, -1), (1, 2, 4, 5)),
+        "higher_correlation": lambda: higher_correlation(
+            DEG2_HALF, CorrelationSpec((1, -1, 1), (1, 3, 5))),
+        "block_product_factorization": lambda: block_product_factorization(
+            DEG2_HALF, [BlockSum.ones((1, 2)), BlockSum.ones((4, 5))]),
+        "check_invariance": lambda: check_invariance(DEG3_MIXED, lambda z: np.real(z) ** 3),
+        "l2_identity_check": lambda: l2_identity_check(
+            DEG2_HALF, CoefficientSequence.ones(6), 6),
+        "simulate": lambda: clt.simulate(DEG2_HALF, CoefficientSequence.ones(6), 6, 1000, 3),
+        "simulate_tail": lambda: clt.simulate(
+            monomial(2), CoefficientSequence.geometric(0.5, 24), 6, 1000, 3, mode="tail"),
+        "sample_T": lambda: clt.sample_T(DEG2_HALF, CoefficientSequence.ones(6), 6,
+                                         CirclePoint(1.25)),
+    }
+
+    @pytest.mark.parametrize("caller", sorted(PACKAGE_CALLERS))
+    def test_package_points_are_not_revalidated(self, monkeypatch, stepped, caller):
+        validated = []
+        monkeypatch.setattr(BlaschkeProduct, "_validate_points",
+                            lambda self, w: validated.append(np.size(w)))
+        self.PACKAGE_CALLERS[caller]()
+        assert stepped and validated == []
 
 
 class TestLowOriginMultiplicity:
@@ -377,6 +407,33 @@ class TestLowOriginMultiplicity:
         assert np.array_equal(self.bits(f._eval(z)), self.bits(self.power_eval(f, z)))
         ref = self.power_eval(f, z)
         assert np.array_equal(self.bits(f.boundary_step(z)), self.bits(ref / np.abs(ref)))
+
+    # z^2, z^3, deg2-half and a rotated degree-3 map
+    STEP_MAPS = [monomial(2), monomial(3), DEG2_HALF, DEG3_MIXED]
+
+    @staticmethod
+    def axis_image_points(f):
+        """+-1 and +-i with either signed zero, and points whose image under
+        f has an exact zero component: the origin and the nonzero zeros."""
+        signed = [complex(x, y) for x in (0.0, -0.0) for y in (1.0, -1.0)]
+        signed += [complex(y, x) for x, y in ((z.real, z.imag) for z in signed)]
+        zeros = [complex(x, y) for x in (0.0, -0.0) for y in (0.0, -0.0)]
+        return np.array(signed + zeros + list(f.nonzero_zeros))
+
+    @pytest.mark.parametrize("f", STEP_MAPS)
+    def test_step_equals_complex_division_bit_for_bit(self, f):
+        # _step multiplies by 1 / |f(z)| where numpy's complex division would
+        # give the same bits, and divides a block with a zero component
+        circle = np.exp(1j * uniform_angles(33, 8192))
+        special = self.axis_image_points(f)
+        images = f._eval(special)
+        assert np.any(images.real == 0) and not np.any(f._eval(circle).view(np.float64) == 0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            blocks = [circle, special, np.concatenate([circle, special])]
+            blocks += [special[i:i + 1] for i in range(len(special))]
+            for z in blocks:
+                out = f._eval(z)
+                assert np.array_equal(self.bits(f._step(z)), self.bits(out / np.abs(out)))
 
     @pytest.mark.parametrize("f", MAPS)
     def test_exact_zero_values(self, f):

@@ -11,7 +11,8 @@ import pytest
 from innerclt import _csvrows
 from innerclt.blaschke import monomial
 from innerclt.cli import _write_samples_csv, coefficients_from_config, main
-from innerclt.clt import BLOCK, simulate
+from innerclt.clt import BLOCK, KS_MIN_SAMPLES, simulate
+from innerclt.errors import InsufficientSamples
 from innerclt.variance import CoefficientSequence
 
 MAP_DEG2_HALF = {"zeros": [[0.0, 0.0], [0.5, 0.0]], "rotation": [1.0, 0.0]}
@@ -145,6 +146,24 @@ class TestSimulateCommand:
         main(["clt", "simulate", "--config", str(cfg), "--out", str(out_dir)])
         report = json.loads((out_dir / "report.json").read_text())
         assert report["config"]["mode"] == "tail"
+        assert not (out_dir / "samples.csv").exists()
+
+    @pytest.mark.parametrize("mode", ["main", "corollary", "tail"])
+    def test_too_few_samples_for_the_report_fail_before_sampling(self, tmp_path,
+                                                                  stepped, mode):
+        out_dir = tmp_path / "out"
+        main(["clt", "simulate", "--config", str(self._write_config(tmp_path)),
+              "--out", str(out_dir)])
+        stepped.clear()
+        # simulate accepts 5000 samples; the Gauss report needs KS_MIN_SAMPLES
+        cfg = self._write_config(
+            tmp_path, mode=mode, samples=5000,
+            coefficients={"kind": "geometric", "ratio": 0.5, "length": 24})
+        with pytest.raises(InsufficientSamples,
+                           match=f"need >= {KS_MIN_SAMPLES} samples, got 5000"):
+            main(["clt", "simulate", "--config", str(cfg), "--out", str(out_dir)])
+        assert stepped == []
+        assert not (out_dir / "report.json").exists()
         assert not (out_dir / "samples.csv").exists()
 
     def test_failed_formatter_leaves_no_outputs(self, tmp_path, monkeypatch):

@@ -2,12 +2,16 @@
 
 import cmath
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from innerclt import quadrature
 from innerclt.blaschke import BlaschkeProduct, monomial
 from innerclt.correlations import _signed_integrand, pair_correlation
 from innerclt.errors import BudgetExceeded, NonConvergence
@@ -53,6 +57,18 @@ class TestIntegrate:
         res = integrate(lambda z: c)
         assert res == integrate(lambda z: np.full(z.shape, c))
         assert res.value == c and res.est_error == 0.0
+
+    def test_block_that_widens_the_dtype_raises(self):
+        # blocks are written into one array typed by the first block, so a
+        # later complex block must not lose its imaginary part silently
+        calls = []
+
+        def g(z):
+            calls.append(len(z))
+            return np.real(z) if len(calls) == 1 else z
+        with pytest.raises(TypeError):
+            integrate(g, degree=2 * BLOCK // 8)
+        assert calls == [BLOCK, BLOCK]
 
     @given(st.lists(st.complex_numbers(max_magnitude=5, allow_nan=False,
                                        allow_infinity=False),
@@ -224,6 +240,68 @@ class TestNestedDoubling:
         assert res.value.imag.hex() == value.imag.hex()
         assert res.est_error.hex() == delta.hex()
         assert res.grid_size == grid
+
+    @staticmethod
+    def cold_table(monkeypatch):
+        """An empty node table, as in a fresh process, and the sizes of the
+        node sets that _nodes then computes."""
+        computed = []
+        nodes = quadrature._nodes
+
+        def spy(k, n):
+            computed.append(len(k))
+            return nodes(k, n)
+        monkeypatch.setattr(quadrature, "_NEW_NODES", {})
+        monkeypatch.setattr(quadrature, "_nodes", spy)
+        return computed
+
+    def test_table_grown_to_2_17_serves_a_later_small_integral(self, monkeypatch):
+        computed = self.cold_table(monkeypatch)
+        # a constant converges at the first doubling: 2^16, then 2^17
+        g, seen = recording(lambda z: z ** 0)
+        assert integrate(g, degree=2 ** 13).grid_size == 2 ** 17
+        assert sum(computed) == 2 ** 17
+        g, seen = recording(NESTED_CASES["poisson"][0])
+        res = integrate(g)
+        assert sum(computed) == 2 ** 17  # every node came from the table
+        # each level is one block here, and each block its slice of the grid
+        assert 2 ** 8 < res.grid_size <= BLOCK
+        assert same_bits(seen[0], circle_grid(2 ** 8))
+        for k, z in enumerate(seen[1:], start=1):
+            assert same_bits(z, circle_grid(2 ** (8 + k))[1::2])
+        assert sum(len(z) for z in seen) == res.grid_size
+
+    def test_each_node_is_computed_once_per_process(self, monkeypatch):
+        computed = self.cold_table(monkeypatch)
+        for g, kwargs in (NESTED_CASES["poisson"], NESTED_CASES["four_factor"],
+                          NESTED_CASES["poisson"], NESTED_CASES["constant"]):
+            integrate(g, **kwargs)
+        finest = max(quadrature._NEW_NODES)
+        assert finest >= 2 ** 12 and sum(computed) == finest
+        for n in quadrature._NEW_NODES:
+            assert same_bits(quadrature._grid(n), circle_grid(n))
+
+    def test_integrand_writing_into_its_points_changes_no_later_integral(self):
+        g = NESTED_CASES["four_factor"][0]
+        before = integrate(g, tol=1e-11, degree=512)
+
+        def vandal(z):
+            z *= 2.0
+            z[::3] = np.nan
+            return 1.0
+        assert integrate(vandal, tol=1e-11, degree=512).value == 1.0
+        after = integrate(g, tol=1e-11, degree=512)
+        assert after.value.real.hex() == before.value.real.hex()
+        assert after.value.imag.hex() == before.value.imag.hex()
+        assert after == before
+        for n in quadrature._NEW_NODES:
+            assert same_bits(quadrature._grid(n), circle_grid(n))
+
+    def test_nothing_is_built_at_import(self):
+        code = ("import innerclt, innerclt.cli; from innerclt import quadrature; "
+                "assert quadrature._NEW_NODES == {}, sorted(quadrature._NEW_NODES)")
+        subprocess.run([sys.executable, "-c", code], check=True,
+                       env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
 
     def test_nonconvergence_reports_max_grid(self):
         g, seen = recording(cusp)
