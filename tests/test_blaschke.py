@@ -342,7 +342,6 @@ class TestOrbitKernel:
         with pytest.raises(ValueError, match=match):
             self.ENTRY_POINTS[entry](self.NEAR_CIRCLE, z)
 
-
     # every caller that steps only the package's own circle points
     PACKAGE_CALLERS = {
         "pair_correlation": lambda: pair_correlation(DEG2_HALF, 1, 4),
