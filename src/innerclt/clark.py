@@ -4,7 +4,9 @@ For a finite Blaschke product f with f(0) = 0 and alpha on the circle, the
 measure mu_alpha is purely atomic: its atoms are the deg(f) boundary
 solutions of f(zeta) = alpha, each carrying weight 1 / |f'(zeta)|.  The
 atoms of f^n are found by pulling alpha back n times through the d inverse
-branches of f, each level an algebraic root solve on the circle.
+branches of f.  Each level solves f(zeta) = beta on the circle in closed form
+(d-th roots for rot z^d, the quadratic formula for degree 2) or, for any
+other map, as eigenvalues of companion matrices.
 Since f(0) = 0 the moments are Taylor coefficients, int conj(zeta)^l d mu_alpha
 = sum_j conj(alpha)^j [z^l] (f^n)^j, row l of `blaschke.taylor_table` of f^n.
 """
@@ -86,12 +88,14 @@ class MomentBoundCheck:
 class BoundaryAtomSolver:
     """Solves f^n(zeta) = alpha by pulling alpha back through the inverse branches of f.
 
-    For |beta| = 1 the d solutions of f(zeta) = beta are the roots of the
-    degree-d polynomial rot z^m prod (a_i - z) - beta prod (1 - conj(a_i) z),
-    and all of them lie on the circle.  Each of the n levels finds the roots
-    for every point of the previous level at once, as eigenvalues of a stack
-    of companion matrices, and polishes their angles by Newton steps.  The
-    weight 1 / |(f^n)'| is the product of 1 / |f'| along each branch.
+    For |beta| = 1 the d solutions of f(zeta) = beta all lie on the circle.
+    Each of the n levels finds them for every point of the previous level at
+    once, in closed form where one exists: the d-th roots for a monomial
+    rot z^d, the quadratic formula for degree 2.  Other maps take the roots
+    of the degree-d polynomial rot z^m prod (a_i - z) - beta prod (1 - conj(a_i) z)
+    as eigenvalues of a stack of companion matrices.  Newton steps in the
+    angle polish every root, and the weight 1 / |(f^n)'| is the product of
+    1 / |f'| along each branch.
     """
 
     def __init__(self, f: BlaschkeProduct, power: int = 1):
@@ -103,6 +107,10 @@ class BoundaryAtomSolver:
         if self.total_degree > ATOM_COUNT_CAP:
             raise BudgetExceeded(
                 f"degree {f.degree}^{power} = {self.total_degree} exceeds atom cap {ATOM_COUNT_CAP}")
+        if not f.nonzero_zeros:
+            # rot z^d = e^{i theta} at the angles (theta - arg rot + 2 pi k) / d
+            self._root_shift = TWO_PI * np.arange(f.degree) - np.angle(f.rotation)
+            return
         num, den = np.ones(1, dtype=complex), np.ones(1, dtype=complex)
         for a in f.nonzero_zeros:
             num = np.convolve(num, [1.0, -a])
@@ -112,24 +120,48 @@ class BoundaryAtomSolver:
         lead = f.rotation * (-1) ** len(f.nonzero_zeros)
         self._num = np.append(num, np.zeros(f.origin_multiplicity))[1:]
         self._den = np.append(np.zeros(f.degree - den.size), den) / lead
+        self._eye = np.eye(f.degree - 1)
+
+    def _root_angles(self, theta: np.ndarray, beta: np.ndarray) -> np.ndarray:
+        """Unpolished angles of the d solutions of f(zeta) = beta = e^{i theta}, on a new last axis."""
+        d = self.f.degree
+        if not self.f.nonzero_zeros:
+            return (theta[..., None] + self._root_shift) / d
+        # the companion row holds -p for the monic z^d + p_1 z^{d-1} + ... + p_d
+        row = beta * self._den - self._num
+        if d == 2:
+            half = 0.5 * row[..., 0]
+            root = np.sqrt(half * half + row[..., 1])
+            return np.angle(np.stack((half + root, half - root), axis=-1))
+        companion = np.zeros(theta.shape + (d, d), dtype=complex)
+        companion[..., 0, :] = row
+        companion[..., 1:, :-1] = self._eye
+        return np.angle(np.linalg.eigvals(companion))
+
+    def _preimages(self, theta: np.ndarray) -> tuple:
+        """The inverse branches of f at the points e^{i theta}.
+
+        Returns the Newton-polished angles of the d solutions of
+        f(zeta) = e^{i theta} and |f'| there, each of shape theta.shape + (d,).
+        """
+        f = self.f
+        beta = np.exp(1j * theta)[..., None]
+        child = self._root_angles(theta, beta)
+        conj_beta = np.conj(beta)
+        # d/dtheta arg f(e^{i theta}) = |f'(e^{i theta})| on the circle
+        for _ in range(NEWTON_STEPS):
+            z = np.exp(1j * child)
+            child = child - np.angle(f._eval(z) * conj_beta) / f._circle_speed(z)
+        return child, f._circle_speed(np.exp(1j * child))
 
     def _pullback(self, alpha_thetas) -> tuple:
         """Angles in [0, 2 pi) and weights of the atoms, one row per alpha."""
-        f, d = self.f, self.f.degree
         theta = np.asarray(alpha_thetas, dtype=float).reshape(-1, 1)
         weights = np.ones_like(theta)
         for _ in range(self.power):
-            beta = np.exp(1j * theta)[..., None]
-            companion = np.zeros(beta.shape[:-1] + (d, d), dtype=complex)
-            companion[..., 0, :] = beta * self._den - self._num
-            companion[..., 1:, :-1] = np.eye(d - 1)
-            child = np.angle(np.linalg.eigvals(companion))
-            # d/dtheta arg f(e^{i theta}) = |f'(e^{i theta})| on the circle
-            for _ in range(NEWTON_STEPS):
-                z = np.exp(1j * child)
-                child = child - np.angle(f._eval(z) * np.conj(beta)) / f._circle_speed(z)
+            child, speed = self._preimages(theta)
             theta = child.reshape(len(theta), -1)
-            weights = (weights[..., None] / f._circle_speed(np.exp(1j * child))).reshape(theta.shape)
+            weights = (weights[..., None] / speed).reshape(theta.shape)
         return theta % TWO_PI, weights
 
     def atom_angles(self, alpha_theta: float) -> np.ndarray:

@@ -18,11 +18,13 @@ import numpy as np
 
 from . import _csvrows
 from .blaschke import BlaschkeProduct, CirclePoint, monomial
-from .clark import check_first_moment, check_second_moment, clark_measure, desintegrate
+from .clark import (BoundaryAtomSolver, check_first_moment, check_second_moment,
+                    clark_measure, desintegrate)
 from .clt import Tolerances, gauss_report, require_ks_samples, simulate
 from .correlations import (BlockSum, CorrelationSpec, block_product_factorization,
                            decay_check, four_factor, higher_correlation,
                            pair_correlation, phi_exponent)
+from .errors import BudgetExceeded
 from .quadrature import check_invariance
 from .variance import (CoefficientSequence, asymptotic_sigma_squared,
                        growth_condition, l2_identity_check, quasiorthogonality,
@@ -238,10 +240,8 @@ def run_simulate(args) -> int:
 # -- clark dump -------------------------------------------------------------
 
 
-def run_clark_dump(args) -> int:
-    with open(args.map) as fh:
-        f = BlaschkeProduct.from_dict(json.load(fh))
-    mu = clark_measure(f, CirclePoint(args.alpha), power=args.power)
+def run_clark_dump(f: BlaschkeProduct, alpha: CirclePoint, power: int) -> int:
+    mu = clark_measure(f, alpha, power=power)
     json.dump(mu.to_dict(), sys.stdout, indent=2)
     print()
     return 0
@@ -273,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     dump.add_argument("--map", required=True)
     dump.add_argument("--alpha", type=float, required=True)
     dump.add_argument("--power", type=int, default=1)
-    dump.set_defaults(func=run_clark_dump)
     return parser
 
 
@@ -283,6 +282,16 @@ def main(argv=None) -> int:
     if args.command == "verify" and args.csv and args.suite in ("invariance", "clark"):
         # checked before any suite runs: these suites write no table
         parser.error(f"verify {args.suite} writes no table for --csv")
+    if args.command == "clark":
+        with open(args.map) as fh:
+            f = BlaschkeProduct.from_dict(json.load(fh))
+        # checked before any solve: a bad angle or power is a usage error
+        try:
+            alpha = CirclePoint(args.alpha)
+            BoundaryAtomSolver(f, args.power)
+        except (ValueError, BudgetExceeded) as exc:
+            parser.error(f"clark dump: {exc}")
+        return run_clark_dump(f, alpha, args.power)
     return args.func(args)
 
 

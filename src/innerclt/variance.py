@@ -302,9 +302,10 @@ def split_plan(a: CoefficientSequence, N: int, epsilon: float = 0.2,
     gamma = (eta + epsilon) / (1.0 + epsilon)
     mass = np.abs(a.array(N)) ** 2
 
-    # blocks alternate with gaps, each the shortest stretch reaching its target
+    # blocks alternate with gaps, each the shortest stretch reaching its target;
+    # Python floats add in the same order and with the same bits as np.float64
     stretches, pos, acc = [], 0, 0.0
-    for end, m in enumerate(mass, start=1):
+    for end, m in enumerate(mass.tolist(), start=1):
         acc += m
         if acc >= (q_n if len(stretches) % 2 else p_n):
             stretches.append((pos, end))

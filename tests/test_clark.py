@@ -19,11 +19,22 @@ TWO_PI = 2 * math.pi
 
 DEG2_HALF = BlaschkeProduct(zeros=(0.0, 0.5))
 DEG3_MIXED = BlaschkeProduct(zeros=(0.0, 0.3 + 0.4j, -0.2j))
+DEG2_ROTATED = BlaschkeProduct(zeros=(0.0, 0.3 + 0.4j), rotation=cmath.exp(0.9j))
 
 
 def near_circle_map(r):
     """Rotated degree-3 map with one zero at modulus r, so |f'| peaks near 2 / (1 - r)."""
     return BlaschkeProduct(zeros=(0.0, r * cmath.exp(0.4j), -0.2j), rotation=cmath.exp(0.7j))
+
+
+def near_degree_two_map(r):
+    """Rotated degree-2 map with its zero at modulus r, so |f'| peaks near 2 / (1 - r)."""
+    return BlaschkeProduct(zeros=(0.0, r * cmath.exp(0.4j)), rotation=cmath.exp(0.7j))
+
+
+def circle_distance(a, b):
+    """|a - b| as angles, so 2 pi - tiny and 0 are tiny apart."""
+    return np.abs(np.angle(np.exp(1j * (a - b))))
 
 
 def bisection_atoms(f, power, alpha_theta):
@@ -59,6 +70,39 @@ def bisection_atoms(f, power, alpha_theta):
     angles = (0.5 * (lo + hi)) % TWO_PI
     deriv = iterate_derivative_on_circle(f, np.exp(1j * angles), power)
     return angles, 1.0 / np.abs(deriv)
+
+
+def companion_atoms(f, power, alpha_theta):
+    """Reference: the companion-matrix pullback for every map, frozen as it was.
+
+    Each level solves rot z^m prod (a_i - z) - beta prod (1 - conj(a_i) z) = 0
+    for every point beta of the previous level as eigenvalues of a stack of
+    companion matrices, then takes NEWTON_STEPS Newton steps in the angle.
+    """
+    d = f.degree
+    num, den = np.ones(1, dtype=complex), np.ones(1, dtype=complex)
+    for a in f.nonzero_zeros:
+        num = np.convolve(num, [1.0, -a])
+        den = np.convolve(den, [-np.conj(a), 1.0])
+    lead = f.rotation * (-1) ** len(f.nonzero_zeros)
+    num = np.append(num, np.zeros(f.origin_multiplicity))[1:]
+    den = np.append(np.zeros(d - den.size), den) / lead
+    theta = np.asarray([alpha_theta], dtype=float).reshape(-1, 1)
+    weights = np.ones_like(theta)
+    for _ in range(power):
+        beta = np.exp(1j * theta)[..., None]
+        companion = np.zeros(beta.shape[:-1] + (d, d), dtype=complex)
+        companion[..., 0, :] = beta * den - num
+        companion[..., 1:, :-1] = np.eye(d - 1)
+        child = np.angle(np.linalg.eigvals(companion))
+        for _ in range(clark.NEWTON_STEPS):
+            z = np.exp(1j * child)
+            child = child - np.angle(f._eval(z) * np.conj(beta)) / f._circle_speed(z)
+        theta = child.reshape(len(theta), -1)
+        weights = (weights[..., None] / f._circle_speed(np.exp(1j * child))).reshape(theta.shape)
+    theta = theta % TWO_PI
+    order = np.argsort(theta[0])
+    return theta[0, order], weights[0, order]
 
 
 class TestMonomialAtoms:
@@ -144,6 +188,32 @@ class TestPullback:
             assert np.max(np.abs(angles - ref_angles)) <= 1e-12
             assert np.max(np.abs(weights - ref_weights)) <= 1e-12
 
+    # every closed-form path, each up to the atom cap
+    CLOSED_FORM_CASES = [("z2", monomial(2), 12), ("z3", monomial(3), 7),
+                         ("z5-rotated", BlaschkeProduct(zeros=(0.0,) * 5, rotation=cmath.exp(2.1j)), 5),
+                         ("deg2-half", DEG2_HALF, 12), ("deg2-rotated", DEG2_ROTATED, 12)]
+
+    @pytest.mark.parametrize("name,f,top", CLOSED_FORM_CASES,
+                             ids=[c[0] for c in CLOSED_FORM_CASES])
+    def test_closed_forms_match_companion_reference(self, name, f, top):
+        for power in range(1, top + 1):
+            solver = BoundaryAtomSolver(f, power)
+            for alpha in (0.37, 4.2):
+                angles, weights = solver.atoms(alpha)
+                ref_angles, ref_weights = companion_atoms(f, power, alpha)
+                assert np.max(circle_distance(angles, ref_angles)) <= 2e-15, power
+                assert np.max(np.abs(weights / ref_weights - 1.0)) <= 4e-15, power
+
+    @pytest.mark.parametrize("f,top", [(DEG3_MIXED, 5), (near_circle_map(0.99), 3)],
+                             ids=["deg3-mixed", "deg3-near-circle"])
+    def test_companion_path_is_the_reference_bit_for_bit(self, f, top):
+        for power in range(1, top + 1):
+            for alpha in (0.37, 4.2):
+                angles, weights = BoundaryAtomSolver(f, power).atoms(alpha)
+                ref_angles, ref_weights = companion_atoms(f, power, alpha)
+                assert np.array_equal(angles, ref_angles)
+                assert np.array_equal(weights, ref_weights)
+
     def test_deg2_half_power_twelve(self):
         mu = clark_measure(DEG2_HALF, CirclePoint(1.1), power=12)
         assert len(mu.atoms) == 4096
@@ -164,21 +234,28 @@ class TestPullback:
             assert check_second_moment(f, alpha, power) <= 1e-8
 
     def test_newton_polish_at_a_nearly_unimodular_zero(self):
-        # |f'| reaches ~2e6, so the eigenvalue roots alone land up to ~1e-9 off
-        f = near_circle_map(1.0 - 1e-6)
-        for theta in (0.3, 2.5, 4.4):
-            angles, _ = BoundaryAtomSolver(f).atoms(theta)
-            assert np.max(np.abs(f.boundary_step(np.exp(1j * angles)) - cmath.exp(1j * theta))) <= 2e-10
+        # |f'| reaches ~2e6, so one ulp of angle moves f(zeta) by ~4e-10;
+        # degree 3 starts from eigenvalues, degree 2 from the quadratic formula
+        for f in (near_circle_map(1.0 - 1e-6), near_degree_two_map(1.0 - 1e-6)):
+            for theta in (0.3, 2.5, 4.4):
+                angles, weights = BoundaryAtomSolver(f).atoms(theta)
+                landing = f.boundary_step(np.exp(1j * angles)) - cmath.exp(1j * theta)
+                assert np.max(np.abs(landing)) <= 2e-10
+                assert abs(float(np.sum(weights)) - 1.0) <= 1e-10
+                ref_angles, _ = companion_atoms(f, 1, theta)
+                assert np.max(circle_distance(angles, ref_angles)) <= 2e-15
 
     def test_desintegrate_matches_per_alpha_atoms(self):
+        # deg3-mixed takes the companion path, deg2-half the quadratic formula
         observable = lambda z: np.real(z) ** 2 + z ** 3
-        double, _ = desintegrate(DEG3_MIXED, observable, k_alpha=64, power=2)
-        solver = BoundaryAtomSolver(DEG3_MIXED, 2)
-        inner = []
-        for alpha in TWO_PI * np.arange(64) / 64:
-            angles, weights = solver.atoms(alpha)
-            inner.append(np.sum(weights * observable(np.exp(1j * angles))))
-        assert abs(double - np.mean(inner)) <= 1e-14
+        for f in (DEG3_MIXED, DEG2_HALF):
+            double, _ = desintegrate(f, observable, k_alpha=64, power=2)
+            solver = BoundaryAtomSolver(f, 2)
+            inner = []
+            for alpha in TWO_PI * np.arange(64) / 64:
+                angles, weights = solver.atoms(alpha)
+                inner.append(np.sum(weights * observable(np.exp(1j * angles))))
+            assert abs(double - np.mean(inner)) <= 1e-14
 
 
 class TestMomentIdentities:

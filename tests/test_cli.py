@@ -10,6 +10,7 @@ import pytest
 
 from innerclt import _csvrows
 from innerclt.blaschke import monomial
+from innerclt.clark import BoundaryAtomSolver
 from innerclt.cli import _write_samples_csv, coefficients_from_config, main
 from innerclt.clt import BLOCK, KS_MIN_SAMPLES, simulate
 from innerclt.errors import InsufficientSamples
@@ -288,3 +289,22 @@ class TestClarkDump:
                      "--alpha", "0.5", "--power", "2"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert len(data["atoms"]) == 4
+
+    @pytest.mark.parametrize("extra,message", [
+        (["--alpha", "1.0", "--power", "0"], "power must be >= 1"),
+        (["--alpha", "1.0", "--power", "13"], "exceeds atom cap 4096"),
+        (["--alpha", "nan"], "non-finite angle"),
+        (["--alpha", "inf", "--power", "2"], "non-finite angle")])
+    def test_bad_arguments_are_usage_errors(self, tmp_path, capsys, monkeypatch,
+                                            extra, message):
+        solved = []
+        monkeypatch.setattr(BoundaryAtomSolver, "_pullback",
+                            lambda self, alphas: solved.append(alphas))
+        map_path = tmp_path / "map.json"
+        map_path.write_text(json.dumps(MAP_DEG2_HALF))
+        with pytest.raises(SystemExit) as exc:
+            main(["clark", "dump", "--map", str(map_path)] + extra)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
+        assert solved == []  # rejected before any solve
