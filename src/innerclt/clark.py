@@ -103,10 +103,10 @@ class BoundaryAtomSolver:
             raise ValueError("power must be >= 1")
         self.f = f
         self.power = power
+        # any d >= 2 passes the cap by power 13, so no huge d^power is formed
+        if f.degree ** min(power, ATOM_COUNT_CAP.bit_length()) > ATOM_COUNT_CAP:
+            raise BudgetExceeded(f"degree {f.degree}^{power} exceeds atom cap {ATOM_COUNT_CAP}")
         self.total_degree = f.degree ** power
-        if self.total_degree > ATOM_COUNT_CAP:
-            raise BudgetExceeded(
-                f"degree {f.degree}^{power} = {self.total_degree} exceeds atom cap {ATOM_COUNT_CAP}")
         if not f.nonzero_zeros:
             # rot z^d = e^{i theta} at the angles (theta - arg rot + 2 pi k) / d
             self._root_shift = TWO_PI * np.arange(f.degree) - np.angle(f.rotation)

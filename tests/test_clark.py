@@ -149,6 +149,9 @@ class TestGeneralAtoms:
     def test_budget_cap(self):
         with pytest.raises(BudgetExceeded):
             BoundaryAtomSolver(DEG2_HALF, power=13)  # 2^13 atoms
+        # 2^20000 has more digits than int-to-str conversion allows
+        with pytest.raises(BudgetExceeded, match=r"degree 2\^20000 exceeds atom cap 4096"):
+            BoundaryAtomSolver(DEG2_HALF, power=20_000)
 
 
 class TestClarkMeasureArray:
@@ -234,7 +237,7 @@ class TestPullback:
             assert check_second_moment(f, alpha, power) <= 1e-8
 
     def test_newton_polish_at_a_nearly_unimodular_zero(self):
-        # |f'| reaches ~2e6, so one ulp of angle moves f(zeta) by ~4e-10;
+        # |f'| reaches ~2e6, so an angle error of 1e-16 moves f(zeta) by ~2e-10;
         # degree 3 starts from eigenvalues, degree 2 from the quadratic formula
         for f in (near_circle_map(1.0 - 1e-6), near_degree_two_map(1.0 - 1e-6)):
             for theta in (0.3, 2.5, 4.4):
