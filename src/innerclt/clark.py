@@ -8,7 +8,8 @@ branches of f.  Each level solves f(zeta) = beta on the circle in closed form
 (d-th roots for rot z^d, the quadratic formula for degree 2) or, for any
 other map, as eigenvalues of companion matrices.
 Since f(0) = 0 the moments are Taylor coefficients, int conj(zeta)^l d mu_alpha
-= sum_j conj(alpha)^j [z^l] (f^n)^j, row l of `blaschke.taylor_table` of f^n.
+= sum_j conj(alpha)^j [z^l] (f^n)^j, and the moment checks read their
+coefficients straight from row l of `blaschke.taylor_table(f, n, l)`.
 """
 
 from __future__ import annotations
@@ -62,22 +63,6 @@ class ClarkMeasure:
 
 
 @dataclass(frozen=True)
-class MomentPolynomial:
-    """Coefficients of the trigonometric polynomial alpha -> int conj(z)^l d mu_alpha.
-
-    For l > 0 the polynomial is sum_k coeffs[k-1] * conj(alpha)^k; for l < 0
-    it is the conjugate expansion in powers of alpha.
-    """
-
-    order: int
-    coeffs: tuple
-
-    def eval_at(self, alpha: complex) -> complex:
-        base = np.conj(alpha) if self.order > 0 else alpha
-        return complex(sum(c * base ** (k + 1) for k, c in enumerate(self.coeffs)))
-
-
-@dataclass(frozen=True)
 class MomentBoundCheck:
     passed: bool
     max_coeff: float
@@ -106,7 +91,6 @@ class BoundaryAtomSolver:
         # any d >= 2 passes the cap by power 13, so no huge d^power is formed
         if f.degree ** min(power, ATOM_COUNT_CAP.bit_length()) > ATOM_COUNT_CAP:
             raise BudgetExceeded(f"degree {f.degree}^{power} exceeds atom cap {ATOM_COUNT_CAP}")
-        self.total_degree = f.degree ** power
         if not f.nonzero_zeros:
             # rot z^d = e^{i theta} at the angles (theta - arg rot + 2 pi k) / d
             self._root_shift = TWO_PI * np.arange(f.degree) - np.angle(f.rotation)
@@ -187,8 +171,12 @@ def clark_measure(f: BlaschkeProduct, alpha: CirclePoint, power: int = 1) -> Cla
 
 
 def _moment_residual(f: BlaschkeProduct, alpha: CirclePoint, power: int, ell: int) -> float:
-    """|int z^ell d mu_alpha - its Taylor-table value| for the measures of f^power."""
-    target = moment_polynomial(f, power, -ell).eval_at(alpha.value)
+    """|int z^ell d mu_alpha - its Taylor-table value| for the measures of f^power.
+
+    int z^ell d mu_alpha = sum_k alpha^k conj(c_k), c_k = [z^ell] (f^power)^k.
+    """
+    row = taylor_table(f, power, ell)[ell, 1:].conj().tolist()
+    target = complex(sum(c * alpha.value ** k for k, c in enumerate(row, 1)))
     return abs(clark_measure(f, alpha, power).moment(ell) - target)
 
 
@@ -219,26 +207,12 @@ def desintegrate(f: BlaschkeProduct, observable, k_alpha: int = 512, power: int 
     return double, abs(double - direct)
 
 
-def moment_polynomial(f: BlaschkeProduct, power: int, order: int) -> MomentPolynomial:
-    """Coefficients c_k = k-th alpha-coefficient of int conj(z)^order d mu_alpha.
-
-    The measures are those of f^power; c_k = [z^|order|] (f^power)^k, row
-    |order| of the Taylor table of f^power.
-    """
-    if order == 0:
-        raise ValueError("order must be nonzero")
-    ell = abs(order)
-    row = taylor_table(f, power, ell)[ell, 1:]
-    return MomentPolynomial(order=order, coeffs=tuple((row if order > 0 else row.conj()).tolist()))
-
-
 def check_moment_bound(f: BlaschkeProduct, power: int, order: int) -> MomentBoundCheck:
-    """Check max_k |c_k| <= |f'(0)|^{power/2} for the moments of f^power."""
-    if not 1 <= abs(order) <= power:
-        raise ValueError("need 1 <= |order| <= power")
+    """Check max_k |c_k| <= |f'(0)|^{power/2}, c_k = [z^order] (f^power)^k."""
+    if not 1 <= order <= power:
+        raise ValueError("need 1 <= order <= power")
     a = abs(f.taylor_at_zero().c1)
-    poly = moment_polynomial(f, power, order)
-    max_coeff = max(abs(c) for c in poly.coeffs)
+    max_coeff = max(abs(c) for c in taylor_table(f, power, order)[order, 1:].tolist())
     if a == 0.0:
         return MomentBoundCheck(max_coeff <= 1e-12, max_coeff, 0.0, True)
     bound = a ** (power / 2.0)

@@ -18,17 +18,25 @@ import numpy as np
 
 from . import _csvrows
 from .blaschke import BlaschkeProduct, CirclePoint, monomial
-from .clark import (BoundaryAtomSolver, check_first_moment, check_second_moment,
-                    clark_measure, desintegrate)
+from .clark import check_first_moment, check_second_moment, clark_measure, desintegrate
 from .clt import Tolerances, gauss_report, require_ks_samples, simulate
 from .correlations import (BlockSum, CorrelationSpec, block_product_factorization,
                            decay_check, four_factor, higher_correlation,
                            pair_correlation, phi_exponent)
-from .errors import BudgetExceeded
+from .errors import RootBracketFailure
 from .quadrature import check_invariance
 from .variance import (CoefficientSequence, asymptotic_sigma_squared,
                        growth_condition, l2_identity_check, quasiorthogonality,
                        sigma_N_squared, split_plan, toeplitz_sandwich)
+
+# what reading a missing or malformed config or map file raises
+INPUT_ERRORS = (OSError, LookupError, TypeError, ValueError)
+
+
+def _input_error(command: str, exc: Exception) -> str:
+    # str(KeyError("N")) is only "'N'"
+    return f"{command}: {'missing key ' if isinstance(exc, KeyError) else ''}{exc}"
+
 
 def _test_maps():
     return {
@@ -94,13 +102,17 @@ def _suite_clark():
     for name, f in _test_maps().items():
         for theta in np.linspace(0.3, 5.9, 5):
             alpha = CirclePoint(float(theta))
-            mu = clark_measure(f, alpha)
+            # clark_measure raises when the weights miss 1 by more than 1e-10
+            try:
+                mu = clark_measure(f, alpha)
+                r1 = check_first_moment(f, alpha)
+                r2 = check_second_moment(f, alpha)
+            except RootBracketFailure as exc:
+                rows += [(f"clark-{kind}[{name},{theta:.2f}]", False, str(exc))
+                         for kind in ("atoms", "moments")]
+                continue
             rows.append((f"clark-atoms[{name},{theta:.2f}]",
-                         len(mu.atoms) == f.degree
-                         and abs(float(np.sum(mu.weights)) - 1.0) <= 1e-10,
-                         f"atoms={len(mu.atoms)}"))
-            r1 = check_first_moment(f, alpha)
-            r2 = check_second_moment(f, alpha)
+                         len(mu.atoms) == f.degree, f"atoms={len(mu.atoms)}"))
             rows.append((f"clark-moments[{name},{theta:.2f}]",
                          r1 <= 1e-8 and r2 <= 1e-8,
                          f"res1={r1:.2e} res2={r2:.2e}"))
@@ -204,23 +216,26 @@ def run_verify(args) -> int:
 
 
 def run_simulate(args) -> int:
-    with open(args.config) as fh:
-        config = json.load(fh)
-    f = BlaschkeProduct.from_dict(config["map"])
-    n = int(config["N"])
-    m = int(config["samples"])
-    seed = int(config["seed"])
-    mode = config.get("mode", "main")
-    a = coefficients_from_config(config.get("coefficients", {}),
-                                 default_length=n if mode != "tail" else 4 * n)
-    tol = Tolerances.from_dict(config.get("tolerances", {}))
-
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     # Outputs of an earlier run in `out` must not pass for this run's:
     # tail runs write no samples.csv, and a failed run writes no report.json.
     for name in ("samples.csv", "report.json"):
         (out / name).unlink(missing_ok=True)
+    try:
+        with open(args.config) as fh:
+            config = json.load(fh)
+        f = BlaschkeProduct.from_dict(config["map"])
+        n = int(config["N"])
+        m = int(config["samples"])
+        seed = int(config["seed"])
+        mode = config.get("mode", "main")
+        a = coefficients_from_config(config.get("coefficients", {}),
+                                     default_length=n if mode != "tail" else 4 * n)
+        tol = Tolerances.from_dict(config.get("tolerances", {}))
+    except INPUT_ERRORS as exc:
+        # `main` turns this into a usage error
+        raise argparse.ArgumentError(None, _input_error("clt simulate", exc)) from exc
     # simulate accepts M >= 1000, but the report needs more: fail before sampling
     require_ks_samples(m)
     samples = simulate(f, a, n, m, seed, mode=mode)
@@ -235,16 +250,6 @@ def run_simulate(args) -> int:
           f"(ks_re={report.ks_re:.4f} ks_im={report.ks_im:.4f} "
           f"e_abs2={report.e_abs2:.4f})")
     return 0 if report.passed else 1
-
-
-# -- clark dump -------------------------------------------------------------
-
-
-def run_clark_dump(f: BlaschkeProduct, alpha: CirclePoint, power: int) -> int:
-    mu = clark_measure(f, alpha, power=power)
-    json.dump(mu.to_dict(), sys.stdout, indent=2)
-    print()
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -282,17 +287,22 @@ def main(argv=None) -> int:
     if args.command == "verify" and args.csv and args.suite in ("invariance", "clark"):
         # checked before any suite runs: these suites write no table
         parser.error(f"verify {args.suite} writes no table for --csv")
-    if args.command == "clark":
+    if args.command != "clark":
+        try:
+            return args.func(args)
+        except argparse.ArgumentError as exc:
+            parser.error(str(exc))
+    # a bad map, angle or power is a usage error: CirclePoint and the atom
+    # solver's constructor reject the last two before any solve
+    try:
         with open(args.map) as fh:
             f = BlaschkeProduct.from_dict(json.load(fh))
-        # checked before any solve: a bad angle or power is a usage error
-        try:
-            alpha = CirclePoint(args.alpha)
-            BoundaryAtomSolver(f, args.power)
-        except (ValueError, BudgetExceeded) as exc:
-            parser.error(f"clark dump: {exc}")
-        return run_clark_dump(f, alpha, args.power)
-    return args.func(args)
+        mu = clark_measure(f, CirclePoint(args.alpha), power=args.power)
+    except INPUT_ERRORS as exc:
+        parser.error(_input_error("clark dump", exc))
+    json.dump(mu.to_dict(), sys.stdout, indent=2)
+    print()
+    return 0
 
 
 if __name__ == "__main__":

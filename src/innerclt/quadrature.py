@@ -60,9 +60,9 @@ def next_power_of_two(n: int) -> int:
     return 1 << max(0, (int(n) - 1)).bit_length()
 
 
-def degree_aware_grid(total_degree: int) -> int:
+def degree_aware_grid(degree: int) -> int:
     """Starting grid for integrands of known harmonic content: 8 points per degree."""
-    return min(DEFAULT_MAX_GRID, max(DEFAULT_MIN_GRID, next_power_of_two(8 * total_degree)))
+    return min(DEFAULT_MAX_GRID, max(DEFAULT_MIN_GRID, next_power_of_two(8 * degree)))
 
 
 # The nodes that level n adds to level n // 2: circle_grid(n)[1::2], and the

@@ -8,11 +8,10 @@ import pytest
 
 from innerclt import clark
 from innerclt.blaschke import (BlaschkeProduct, CirclePoint,
-                               iterate_derivative_on_circle, monomial)
+                               iterate_derivative_on_circle, monomial, taylor_table)
 from innerclt.clark import (BoundaryAtomSolver, ClarkMeasure, check_first_moment,
                             check_moment_bound, check_second_moment,
-                            clark_measure, desintegrate, moment_bound_onset,
-                            moment_polynomial)
+                            clark_measure, desintegrate, moment_bound_onset)
 from innerclt.errors import BudgetExceeded
 
 TWO_PI = 2 * math.pi
@@ -290,20 +289,34 @@ class TestDesintegration:
             desintegrate(DEG2_HALF, lambda z: z, k_alpha=8)
 
 
-class TestMomentPolynomial:
+class TestTaylorMoments:
+    """The Clark moments of f^n are rows of `taylor_table(f, n, l)`."""
+
     def test_first_coefficient_is_iterate_derivative(self):
         # order 1: the one coefficient is (f^n)'(0) = f'(0)^n
         c1 = DEG2_HALF.taylor_at_zero().c1
         for power in (1, 2, 3):
-            poly = moment_polynomial(DEG2_HALF, power, 1)
-            assert len(poly.coeffs) == 1
-            assert abs(poly.coeffs[0] - c1 ** power) < 1e-15
+            row = taylor_table(DEG2_HALF, power, 1)[1, 1:]
+            assert row.shape == (1,)
+            assert abs(row[0] - c1 ** power) < 1e-15
 
-    def test_eval_matches_atomic_moment(self):
+    def test_herglotz_sum_matches_atomic_moment(self):
+        # int conj(z) d mu_alpha = sum_k conj(alpha)^k c_k
         alpha = CirclePoint(1.7)
         mu = clark_measure(DEG2_HALF, alpha, power=2)
-        poly = moment_polynomial(DEG2_HALF, 2, 1)
-        assert abs(np.conj(poly.eval_at(alpha.value)) - mu.moment(1)) < 1e-8
+        row = taylor_table(DEG2_HALF, 2, 1)[1, 1:]
+        herglotz = sum(c * np.conj(alpha.value) ** k for k, c in enumerate(row, 1))
+        assert abs(np.conj(herglotz) - mu.moment(1)) < 1e-8
+
+    def test_bound_reads_the_table_row(self):
+        for power, order in ((3, 1), (5, 2), (6, 3)):
+            row = taylor_table(DEG2_HALF, power, order)[order, 1:]
+            assert check_moment_bound(DEG2_HALF, power, order).max_coeff == max(map(abs, row.tolist()))
+
+    @pytest.mark.parametrize("order", [0, -1, 4])
+    def test_bound_rejects_orders_outside_one_to_power(self, order):
+        with pytest.raises(ValueError, match="need 1 <= order <= power"):
+            check_moment_bound(DEG2_HALF, 3, order)
 
     def test_monomial_bound_vacuous(self):
         check = check_moment_bound(monomial(2), 3, 1)
@@ -335,7 +348,9 @@ class TestMomentPolynomial:
             alpha = CirclePoint(theta)
             mu = clark_measure(f, alpha, power)
             for ell in (1, 2, 3):
-                target = moment_polynomial(f, power, -ell).eval_at(alpha.value)
+                # int z^ell d mu_alpha = sum_k alpha^k conj(c_k)
+                row = taylor_table(f, power, ell)[ell, 1:]
+                target = np.sum(np.conj(row) * alpha.value ** np.arange(1, ell + 1))
                 assert abs(mu.moment(ell) - target) < 1e-12, ell
 
     def test_bound_eventually_holds(self):

@@ -54,6 +54,23 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
 
+    def test_clark_suite_reports_bad_weights_as_failures(self, capsys, monkeypatch):
+        pullback = BoundaryAtomSolver._pullback
+
+        def light(self, alphas):
+            angles, weights = pullback(self, alphas)
+            return angles, 0.9 * weights
+
+        monkeypatch.setattr(BoundaryAtomSolver, "_pullback", light)
+        assert main(["verify", "clark"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        # 3 maps x (5 alphas x (atoms, moments) + desintegration), all FAIL
+        assert len(lines) == 33
+        assert all(line.startswith("FAIL ") for line in lines)
+        atoms = [line for line in lines if line.startswith("FAIL clark-atoms[")]
+        assert len(atoms) == 15
+        assert all("not 1; atom solve is suspect" in line for line in atoms)
+
     def test_variance_suite_with_csv(self, tmp_path, capsys):
         csv_path = tmp_path / "variance.csv"
         assert main(["verify", "variance", "--csv", str(csv_path)]) == 0
@@ -166,6 +183,42 @@ class TestSimulateCommand:
         assert stepped == []
         assert not (out_dir / "report.json").exists()
         assert not (out_dir / "samples.csv").exists()
+
+    @pytest.mark.parametrize("drop, overrides, message", [
+        ("N", {}, "clt simulate: missing key 'N'"),
+        (None, {"tolerances": {"kss": 0.1}}, "unexpected keyword argument 'kss'"),
+        (None, {"map": {"zeros": [[0.5, 0.0]]}}, "at least one zero must be exactly 0"),
+        (None, {"coefficients": {"kind": "surprise"}}, "unknown coefficient kind"),
+        (None, {"N": "twelve"}, "invalid literal for int()")])
+    def test_malformed_config_is_a_usage_error(self, tmp_path, capsys, stepped,
+                                               drop, overrides, message):
+        out_dir = tmp_path / "out"
+        main(["clt", "simulate", "--config", str(self._write_config(tmp_path)),
+              "--out", str(out_dir)])
+        capsys.readouterr()
+        stepped.clear()
+        cfg = self._write_config(tmp_path, **overrides)
+        if drop:
+            config = json.loads(cfg.read_text())
+            del config[drop]
+            cfg.write_text(json.dumps(config))
+        with pytest.raises(SystemExit) as exc:
+            main(["clt", "simulate", "--config", str(cfg), "--out", str(out_dir)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert message in captured.err.splitlines()[-1]
+        assert stepped == []
+        # the earlier run's outputs do not pass for this one's
+        assert not (out_dir / "report.json").exists()
+        assert not (out_dir / "samples.csv").exists()
+
+    def test_missing_config_is_a_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["clt", "simulate", "--config", str(tmp_path / "none.json"),
+                  "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "No such file or directory" in capsys.readouterr().err
 
     def test_failed_formatter_leaves_no_outputs(self, tmp_path, monkeypatch):
         cfg = self._write_config(tmp_path)
@@ -308,3 +361,20 @@ class TestClarkDump:
         captured = capsys.readouterr()
         assert message in captured.err and captured.out == ""
         assert solved == []  # rejected before any solve
+
+    @pytest.mark.parametrize("text, message", [
+        (None, "No such file or directory"),
+        ("{not json", "Expecting property name"),
+        (json.dumps({"zeros": [[0.5, 0.0]]}), "at least one zero must be exactly 0"),
+        (json.dumps({"rotation": [1.0, 0.0]}), "clark dump: missing key 'zeros'"),
+        (json.dumps({"zeros": 5}), "not iterable")])
+    def test_bad_map_files_are_usage_errors(self, tmp_path, capsys, text, message):
+        map_path = tmp_path / "map.json"
+        if text is not None:
+            map_path.write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            main(["clark", "dump", "--map", str(map_path), "--alpha", "1.0"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert message in captured.err.splitlines()[-1]
