@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from innerclt import clark
 from innerclt.blaschke import BlaschkeProduct
+from innerclt.clark import BoundaryAtomSolver
 
 
 @pytest.fixture
@@ -18,3 +20,27 @@ def stepped(monkeypatch):
 
     monkeypatch.setattr(BlaschkeProduct, "_step", spy)
     return sizes
+
+
+@pytest.fixture
+def atom_solves(monkeypatch):
+    """(f, power, alpha angle) of every `BoundaryAtomSolver.atoms` call while the test runs."""
+    calls = []
+    atoms = BoundaryAtomSolver.atoms
+
+    def spy(self, alpha_theta):
+        calls.append((self.f, self.power, alpha_theta))
+        return atoms(self, alpha_theta)
+
+    monkeypatch.setattr(BoundaryAtomSolver, "atoms", spy)
+    return calls
+
+
+@pytest.fixture
+def empty_clark_slot(monkeypatch):
+    """Start the test with no measure in `clark_measure`'s one-slot memo.
+
+    A test that patches the solver needs this: a measure stored by an
+    earlier test would answer its calls without a solve.
+    """
+    monkeypatch.setattr(clark, "_last_measure", None)

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from innerclt import clark
 from innerclt.blaschke import (BlaschkeProduct, CirclePoint,
@@ -12,7 +14,7 @@ from innerclt.blaschke import (BlaschkeProduct, CirclePoint,
 from innerclt.clark import (BoundaryAtomSolver, ClarkMeasure, check_first_moment,
                             check_moment_bound, check_second_moment,
                             clark_measure, desintegrate, moment_bound_onset)
-from innerclt.errors import BudgetExceeded
+from innerclt.errors import BudgetExceeded, RootBracketFailure
 
 TWO_PI = 2 * math.pi
 
@@ -171,6 +173,122 @@ class TestClarkMeasureArray:
     def test_rejects_ragged_atoms(self):
         with pytest.raises(ValueError):
             ClarkMeasure(CirclePoint(0.0), [1.0, 0.5])
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def light_pullback(pullback):
+    """A `_pullback` whose weights sum to 0.9, so `clark_measure` must refuse them."""
+    def light(self, alphas):
+        angles, weights = pullback(self, alphas)
+        return angles, 0.9 * weights
+    return light
+
+
+@pytest.mark.usefixtures("empty_clark_slot")
+class TestMeasureMemo:
+    """`clark_measure` keeps its last measure; the moment checks read it."""
+
+    TRIPLES = [(DEG2_HALF, 0.7, 3), (DEG3_MIXED, 4.1, 2), (monomial(3), 2.2, 4)]
+    IDS = ["deg2-half-n3", "deg3-mixed-n2", "z3-n4"]
+
+    @pytest.mark.parametrize("f,theta,power", TRIPLES, ids=IDS)
+    def test_measure_then_moments_solve_once(self, atom_solves, f, theta, power):
+        alpha = CirclePoint(theta)
+        clark_measure(f, alpha, power=power)  # by keyword, as clark dump passes it
+        first = check_first_moment(f, alpha, power)
+        second = check_second_moment(f, CirclePoint(theta), power)
+        assert atom_solves == [(f, power, alpha.theta)]
+        # after another triple, each check solves afresh, with the same bits
+        clark_measure(DEG2_ROTATED, CirclePoint(1.0), 2)
+        assert check_first_moment(f, alpha, power) == first
+        clark_measure(DEG2_ROTATED, CirclePoint(1.0), 2)
+        assert check_second_moment(f, alpha, power) == second
+        assert len(atom_solves) == 5
+
+    # BlaschkeProduct equality takes 0.5 + 0j and 0.5 - 0j for the same zero
+    OTHER = {"alpha": (DEG2_HALF, CirclePoint(0.7 + 1e-9), 3),
+             "alpha-one-ulp": (DEG2_HALF, CirclePoint(math.nextafter(0.7, 1.0)), 3),
+             "f": (DEG3_MIXED, CirclePoint(0.7), 3),
+             "f-signed-zero": (BlaschkeProduct(zeros=(0.0, complex(0.5, -0.0))), CirclePoint(0.7), 3),
+             "power": (DEG2_HALF, CirclePoint(0.7), 2)}
+
+    @pytest.mark.parametrize("other", OTHER.values(), ids=OTHER.keys())
+    def test_another_triple_in_between_solves_again(self, atom_solves, other):
+        alpha = CirclePoint(0.7)
+        mu = clark_measure(DEG2_HALF, alpha, 3)
+        clark_measure(*other)
+        again = clark_measure(DEG2_HALF, alpha, 3)
+        assert len(atom_solves) == 3
+        assert again is not mu
+        assert np.array_equal(bits(again.atoms), bits(mu.atoms))
+
+    @pytest.mark.parametrize("f,theta,power", TRIPLES + [(DEG2_HALF, 1.1, 12)],
+                             ids=IDS + ["deg2-half-n12"])
+    def test_hit_is_the_same_read_only_measure(self, atom_solves, f, theta, power):
+        mu = clark_measure(f, CirclePoint(theta), power)
+        hit = clark_measure(f, CirclePoint(theta), power)
+        assert hit is mu and len(atom_solves) == 1
+        assert not hit.atoms.flags.writeable
+        with pytest.raises(ValueError):
+            hit.atoms[0, 1] = 0.5
+        angles, weights = BoundaryAtomSolver(f, power).atoms(theta)
+        assert np.array_equal(bits(hit.angles), bits(angles))
+        assert np.array_equal(bits(hit.weights), bits(weights))
+
+    def test_failed_solves_leave_the_slot_alone(self, monkeypatch, atom_solves):
+        alpha = CirclePoint(0.7)
+        with monkeypatch.context() as patch:
+            patch.setattr(BoundaryAtomSolver, "_pullback",
+                          light_pullback(BoundaryAtomSolver._pullback))
+            for check in (clark_measure, check_first_moment, check_second_moment):
+                with pytest.raises(RootBracketFailure, match="not 1; atom solve is suspect"):
+                    check(DEG2_HALF, alpha, 3)
+            assert clark._last_measure is None
+        assert len(atom_solves) == 3
+        mu = clark_measure(DEG2_HALF, alpha, 3)
+        assert len(atom_solves) == 4
+        assert abs(float(np.sum(mu.weights)) - 1.0) <= 1e-10
+        # a bad power raises before any solve and keeps the stored measure
+        with pytest.raises(ValueError, match="power must be >= 1"):
+            clark_measure(DEG2_HALF, alpha, 0)
+        with pytest.raises(BudgetExceeded):
+            clark_measure(DEG2_HALF, alpha, 13)
+        assert check_first_moment(DEG2_HALF, alpha, 3) <= 1e-8
+        assert clark_measure(DEG2_HALF, alpha, 3) is mu
+        assert len(atom_solves) == 4
+
+
+@st.composite
+def clark_triples(draw):
+    """Degree 2-4 products with |a| <= 0.9 and a rotation, a power 1-3, an alpha.
+
+    A zero is either 0 (so z^d and its closed form come up) or at modulus
+    1e-3 or more; a subnormal zero has its pole 1 / conj(a) at infinity.
+    """
+    modulus = st.one_of(st.just(0.0), st.floats(1e-3, 0.9))
+    zeros = [0.0] + [cmath.rect(draw(modulus), draw(st.floats(0.0, TWO_PI)))
+                     for _ in range(draw(st.integers(1, 3)))]
+    rotation = cmath.exp(1j * draw(st.floats(0.0, TWO_PI)))
+    f = BlaschkeProduct(zeros=tuple(zeros), rotation=rotation)
+    return f, CirclePoint(draw(st.floats(0.0, TWO_PI))), draw(st.integers(1, 3))
+
+
+@given(clark_triples())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_random_products_solve_or_raise_typed(triple):
+    f, alpha, power = triple
+    try:
+        mu = clark_measure(f, alpha, power)
+    except (RootBracketFailure, BudgetExceeded):
+        return
+    assert len(mu.atoms) == f.degree ** power
+    assert abs(float(np.sum(mu.weights)) - 1.0) <= 1e-10
+    landing = f.boundary_orbit(np.exp(1j * mu.angles), power) - alpha.value
+    assert np.max(np.abs(landing)) <= 1e-10
+    assert clark_measure(f, alpha, power) is mu
 
 
 class TestPullback:

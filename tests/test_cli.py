@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from innerclt import _csvrows
+from innerclt import _csvrows, clark
 from innerclt.blaschke import monomial
 from innerclt.clark import BoundaryAtomSolver
 from innerclt.cli import _write_samples_csv, coefficients_from_config, main
@@ -54,7 +54,22 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
 
-    def test_clark_suite_reports_bad_weights_as_failures(self, capsys, monkeypatch):
+    def test_clark_suite_solves_each_alpha_once(self, capsys, monkeypatch,
+                                                atom_solves, empty_clark_slot):
+        assert main(["verify", "clark"]) == 0
+        out = capsys.readouterr().out
+        # 3 maps x 5 alphas; the moment checks reuse the measure just solved
+        assert len(atom_solves) == 15
+        assert len(set(atom_solves)) == 15
+        # with a key that equals nothing, every check solves again
+        monkeypatch.setattr(clark, "_measure_key", lambda f, alpha, power: object())
+        atom_solves.clear()
+        assert main(["verify", "clark"]) == 0
+        assert len(atom_solves) == 45
+        assert capsys.readouterr().out == out
+
+    def test_clark_suite_reports_bad_weights_as_failures(self, capsys, monkeypatch,
+                                                         empty_clark_slot):
         pullback = BoundaryAtomSolver._pullback
 
         def light(self, alphas):
@@ -349,7 +364,7 @@ class TestClarkDump:
         (["--alpha", "nan"], "non-finite angle"),
         (["--alpha", "inf", "--power", "2"], "non-finite angle")])
     def test_bad_arguments_are_usage_errors(self, tmp_path, capsys, monkeypatch,
-                                            extra, message):
+                                            empty_clark_slot, extra, message):
         solved = []
         monkeypatch.setattr(BoundaryAtomSolver, "_pullback",
                             lambda self, alphas: solved.append(alphas))
