@@ -23,6 +23,8 @@ Adams, PLDI 2018, done in exact integer arithmetic):
   `bytes.translate` per block removes.
 """
 
+import functools
+
 import numpy as np
 
 from .quadrature import BLOCK
@@ -39,10 +41,13 @@ _POW5 = np.array([5 ** j for j in range(21)], dtype=_U64)
 _POW10 = np.array([10 ** j for j in range(19)], dtype=np.int64)
 
 
+@functools.cache
 def _tables():
+    """(words, intpart), built on the first `rows` call: importing the
+    package builds no table."""
     w = np.arange(10_000)
     d = ((w[:, None] // np.array([1000, 100, 10, 1])) % 10 + ord("0")).astype(np.uint8)
-    # _WORDS[n, w]: the first n of the four digits of w, then blanks; "0"
+    # words[n, w]: the first n of the four digits of w, then blanks; "0"
     # for n = 1, w = 0 is an integer's fraction
     words = np.where(np.arange(4) < np.arange(5)[:, None, None], d, np.uint8(0))
     # "[-]int." in 8 bytes: blank, blank, the sign, the four digits with
@@ -57,7 +62,6 @@ def _tables():
             intpart.view(_U64).reshape(-1))
 
 
-_WORDS, _INTPART = _tables()
 _WORD_START = np.arange(0, 20, 4)[:, None]
 _WORD_MIN = np.array([1, 0, 0, 0, 0])[:, None]  # an integer shows ".0"
 _COMMA, _CRLF = (np.frombuffer(s.ljust(4, b"\0"), dtype=np.uint32)[0]
@@ -113,8 +117,8 @@ def _shortest(ax):
 
 
 def _fraction_words(frac, f):
-    """The `_WORDS` indices of the five 4-digit words of each f-digit
-    fraction frac, as a (5, len(f)) array."""
+    """The indices into the words table of `_tables` of the five 4-digit
+    words of each f-digit fraction frac, as a (5, len(f)) array."""
     # the 20-digit fraction frac 10^(20-f) as its first 8 and last 12 digits
     cut = _POW10[np.maximum(f - 8, 0)]
     hi8 = frac // cut
@@ -141,6 +145,7 @@ def rows(values) -> bytes:
     """The ASCII rows of the flat float64 array `values` (re, im, re, ...):
     one "re,im" row with a CRLF end per pair, in the bytes csv.writer
     gives."""
+    words, intpart_words = _tables()
     x = np.asarray(values, dtype=np.float64)
     ax = np.abs(x)
     fast = (ax >= 1e-4) & (ax < 1e4) & ((ax.view(_U64) & _MANTISSA) != 0)
@@ -150,8 +155,8 @@ def rows(values) -> bytes:
     scale = _POW10[np.minimum(f, 18)]
     intpart = digits // scale
     out = np.empty((len(x), 8), dtype=np.uint32)
-    out.view(_U64)[:, 0] = _INTPART[np.signbit(x) * 10_000 + intpart]
-    out[:, 2:7] = _WORDS.take(_fraction_words(digits - intpart * scale, f)).T
+    out.view(_U64)[:, 0] = intpart_words[np.signbit(x) * 10_000 + intpart]
+    out[:, 2:7] = words.take(_fraction_words(digits - intpart * scale, f)).T
     out[0::2, 7] = _COMMA
     out[1::2, 7] = _CRLF
     slow = np.flatnonzero(~fast)

@@ -93,6 +93,11 @@ class BlaschkeProduct:
         object.__setattr__(self, "_origin_multiplicity", len(zeros) - len(nonzero))
         # (a, conj(a)) per nonzero zero, for the factor (a - z) / (1 - conj(a) z)
         object.__setattr__(self, "_factors", tuple((a, np.conj(a)) for a in nonzero))
+        # the poles 1 / conj(a); a subnormal zero's pole overflows, and one
+        # past every representable point needs no guard
+        with np.errstate(over="ignore", invalid="ignore"):
+            poles = 1.0 / np.conj(np.array(nonzero, dtype=complex))
+        object.__setattr__(self, "_poles", poles[np.isfinite(poles)])
 
     @property
     def degree(self) -> int:
@@ -123,8 +128,7 @@ class BlaschkeProduct:
             raise ValueError("non-finite evaluation point")
         if np.any(np.abs(w) > 1.0 + RADIUS_SLACK):
             raise ValueError("evaluation point outside the closed disc")
-        for a in self.nonzero_zeros:
-            pole = 1.0 / np.conj(a)
+        for pole in self._poles:
             if np.any(np.abs(w - pole) < POLE_GUARD):
                 raise ValueError(f"evaluation point too close to pole {pole}")
 

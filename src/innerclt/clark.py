@@ -5,8 +5,8 @@ measure mu_alpha is purely atomic: its atoms are the deg(f) boundary
 solutions of f(zeta) = alpha, each carrying weight 1 / |f'(zeta)|.  The
 atoms of f^n are found by pulling alpha back n times through the d inverse
 branches of f.  Each level solves f(zeta) = beta on the circle in closed form
-(d-th roots for rot z^d, the quadratic formula for degree 2) or, for any
-other map, as eigenvalues of companion matrices.
+(d-th roots for rot z^d, a half-angle form for degree 2) or, for any other
+map, as eigenvalues of companion matrices, which Newton steps polish.
 Since f(0) = 0 the moments are Taylor coefficients, int conj(zeta)^l d mu_alpha
 = sum_j conj(alpha)^j [z^l] (f^n)^j, and the moment checks read their
 coefficients straight from row l of `blaschke.taylor_table(f, n, l)`.
@@ -83,11 +83,16 @@ class BoundaryAtomSolver:
     For |beta| = 1 the d solutions of f(zeta) = beta all lie on the circle.
     Each of the n levels finds them for every point of the previous level at
     once, in closed form where one exists: the d-th roots for a monomial
-    rot z^d, the quadratic formula for degree 2.  Other maps take the roots
-    of the degree-d polynomial rot z^m prod (a_i - z) - beta prod (1 - conj(a_i) z)
-    as eigenvalues of a stack of companion matrices.  Newton steps in the
-    angle polish every root, and the weight 1 / |(f^n)'| is the product of
-    1 / |f'| along each branch.
+    rot z^d, a half-angle form for degree 2.  Other maps take the roots of
+    the degree-d polynomial rot z^m prod (a_i - z) - beta prod (1 - conj(a_i) z)
+    as eigenvalues of a stack of companion matrices, and only those roots
+    take Newton steps in the angle.  The weight 1 / |(f^n)'| is the product
+    of 1 / |f'| along each branch.
+
+    The closed forms take no Newton step.  Up to the atom cap their angles
+    lie within 2e-15 rad, and their weights within 4e-15 relative, of the
+    companion roots after the Newton steps, and for zeros of modulus up to
+    0.999 f^n maps each atom to within 4 ulp(2 pi) |(f^n)'| of alpha.
     """
 
     def __init__(self, f: BlaschkeProduct, power: int = 1):
@@ -99,8 +104,16 @@ class BoundaryAtomSolver:
         if f.degree ** min(power, ATOM_COUNT_CAP.bit_length()) > ATOM_COUNT_CAP:
             raise BudgetExceeded(f"degree {f.degree}^{power} exceeds atom cap {ATOM_COUNT_CAP}")
         if not f.nonzero_zeros:
-            # rot z^d = e^{i theta} at the angles (theta - arg rot + 2 pi k) / d
             self._root_shift = TWO_PI * np.arange(f.degree) - np.angle(f.rotation)
+            return
+        if f.degree == 2:
+            (a,) = f.nonzero_zeros
+            self._a = a
+            self._arg_rot = np.angle(f.rotation)
+            # 1 - |a|^2 in exact integers, rounded once: near the circle a
+            # rounded |a|^2 would leave few correct digits
+            (nx, dx), (ny, dy) = a.real.as_integer_ratio(), a.imag.as_integer_ratio()
+            self._q = ((dx * dy) ** 2 - (nx * dy) ** 2 - (ny * dx) ** 2) / (dx * dy) ** 2
             return
         num, den = np.ones(1, dtype=complex), np.ones(1, dtype=complex)
         for a in f.nonzero_zeros:
@@ -113,31 +126,45 @@ class BoundaryAtomSolver:
         self._den = np.append(np.zeros(f.degree - den.size), den) / lead
         self._eye = np.eye(f.degree - 1)
 
-    def _root_angles(self, theta: np.ndarray, beta: np.ndarray) -> np.ndarray:
-        """Unpolished angles of the d solutions of f(zeta) = beta = e^{i theta}, on a new last axis."""
-        d = self.f.degree
-        if not self.f.nonzero_zeros:
-            return (theta[..., None] + self._root_shift) / d
-        # the companion row holds -p for the monic z^d + p_1 z^{d-1} + ... + p_d
-        row = beta * self._den - self._num
-        if d == 2:
-            half = 0.5 * row[..., 0]
-            root = np.sqrt(half * half + row[..., 1])
-            return np.angle(np.stack((half + root, half - root), axis=-1))
-        companion = np.zeros(theta.shape + (d, d), dtype=complex)
-        companion[..., 0, :] = row
-        companion[..., 1:, :-1] = self._eye
-        return np.angle(np.linalg.eigvals(companion))
-
     def _preimages(self, theta: np.ndarray) -> tuple:
         """The inverse branches of f at the points e^{i theta}.
 
-        Returns the Newton-polished angles of the d solutions of
-        f(zeta) = e^{i theta} and |f'| there, each of shape theta.shape + (d,).
+        Returns the angles of the d solutions of f(zeta) = e^{i theta} and
+        |f'| there, each of shape theta.shape + (d,).  The closed forms give
+        both directly; the eigenvalues of the other maps take NEWTON_STEPS
+        Newton steps in the angle first.
         """
-        f = self.f
+        f, d = self.f, self.f.degree
+        if not f.nonzero_zeros:
+            # rot z^d = e^{i theta} at the angles (theta - arg rot + 2 pi k) / d
+            child = (theta[..., None] + self._root_shift) / d
+            return child, np.full(child.shape, float(d))
+        if d == 2:
+            # z (a - z) = w (1 - conj(a) z) for w = e^{i theta} / rot.  The
+            # roots multiply to w, so they are v e^{+-i psi} for v^2 = w, with
+            # cos psi = Re(a conj(v)) and, as |a conj(v)| = |a|,
+            # sin psi = sqrt(1 - |a|^2 + t^2) for t = Im(a conj(v)).
+            v = np.exp(0.5j * (theta - self._arg_rot))[..., None]
+            av = self._a * np.conj(v)
+            t = av.imag
+            sin_psi = np.sqrt(self._q + t * t)
+            e_psi = av.real + 1j * sin_psi
+            child = np.angle(np.concatenate((v * e_psi, v * np.conj(e_psi)), axis=-1))
+            # |z - a| = sin psi -+ t at the two roots and (sin psi)^2 - t^2 =
+            # 1 - |a|^2, so |f'| = 1 + (1 - |a|^2) / |z - a|^2 needs only the
+            # larger distance, sin psi + |t|, which does not cancel
+            far = sin_psi + np.abs(t)
+            slow = 1.0 + self._q / (far * far)
+            fast = 1.0 + far * far / self._q
+            return child, np.where(t > 0, np.concatenate((fast, slow), axis=-1),
+                                   np.concatenate((slow, fast), axis=-1))
         beta = np.exp(1j * theta)[..., None]
-        child = self._root_angles(theta, beta)
+        # the companion row holds -p for the monic z^d + p_1 z^{d-1} + ... + p_d
+        row = beta * self._den - self._num
+        companion = np.zeros(theta.shape + (d, d), dtype=complex)
+        companion[..., 0, :] = row
+        companion[..., 1:, :-1] = self._eye
+        child = np.angle(np.linalg.eigvals(companion))
         conj_beta = np.conj(beta)
         # d/dtheta arg f(e^{i theta}) = |f'(e^{i theta})| on the circle
         for _ in range(NEWTON_STEPS):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from innerclt import clt
 from innerclt.blaschke import (BlaschkeProduct, CirclePoint, fit_size_bound_exponent,
                                iterate_derivative_on_circle, monomial, taylor_table)
+from innerclt.clark import clark_measure
 from innerclt.correlations import (BlockSum, CorrelationSpec, block_product_factorization,
                                    four_factor, higher_correlation, pair_correlation)
 from innerclt.quadrature import check_invariance, circle_grid, uniform_angles
@@ -341,6 +342,26 @@ class TestOrbitKernel:
         z = np.append(self.points(16), bad)
         with pytest.raises(ValueError, match=match):
             self.ENTRY_POINTS[entry](self.NEAR_CIRCLE, z)
+
+    # 1 / conj(a) overflows (or is inf times 0) for these zeros: their
+    # poles lie past every float, so no point needs guarding from them
+    SUBNORMAL_ZEROS = [1e-320 + 1e-320j, 5e-324, 1e-310j]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("a", SUBNORMAL_ZEROS, ids=repr)
+    def test_subnormal_zero_raises_no_warning(self, a):
+        f = BlaschkeProduct(zeros=(0.0, a))
+        # f = -z^2 up to the subnormal zero
+        ref = BlaschkeProduct(zeros=(0.0, 0.0), rotation=-1.0)
+        z = self.points(16)
+        assert np.allclose(f(z), ref(z), rtol=0.0, atol=1e-15)
+        assert f(1.0) == pytest.approx(-1.0, abs=1e-15)
+        assert np.allclose(f.boundary_orbit(z, 3), ref.boundary_orbit(z, 3),
+                           rtol=0.0, atol=1e-14)
+        alpha = CirclePoint(1.0)
+        mu = clark_measure(f, alpha, 3)
+        assert np.allclose(mu.atoms, clark_measure(ref, alpha, 3).atoms,
+                           rtol=0.0, atol=1e-15)
 
     # every caller that steps only the package's own circle points
     PACKAGE_CALLERS = {

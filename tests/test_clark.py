@@ -21,6 +21,7 @@ TWO_PI = 2 * math.pi
 DEG2_HALF = BlaschkeProduct(zeros=(0.0, 0.5))
 DEG3_MIXED = BlaschkeProduct(zeros=(0.0, 0.3 + 0.4j, -0.2j))
 DEG2_ROTATED = BlaschkeProduct(zeros=(0.0, 0.3 + 0.4j), rotation=cmath.exp(0.9j))
+Z5_ROTATED = BlaschkeProduct(zeros=(0.0,) * 5, rotation=cmath.exp(2.1j))
 
 
 def near_circle_map(r):
@@ -262,13 +263,14 @@ class TestMeasureMemo:
 
 
 @st.composite
-def clark_triples(draw):
-    """Degree 2-4 products with |a| <= 0.9 and a rotation, a power 1-3, an alpha.
+def clark_triples(draw, max_modulus=0.9):
+    """Degree 2-4 products with |a| <= max_modulus and a rotation, a power 1-3, an alpha.
 
-    A zero is either 0 (so z^d and its closed form come up) or at modulus
-    1e-3 or more; a subnormal zero has its pole 1 / conj(a) at infinity.
+    A zero is either 0 (so z^d and its closed form come up) or any modulus
+    up to max_modulus, subnormals included, whose poles 1 / conj(a) lie
+    past every float.
     """
-    modulus = st.one_of(st.just(0.0), st.floats(1e-3, 0.9))
+    modulus = st.one_of(st.just(0.0), st.floats(0.0, max_modulus))
     zeros = [0.0] + [cmath.rect(draw(modulus), draw(st.floats(0.0, TWO_PI)))
                      for _ in range(draw(st.integers(1, 3)))]
     rotation = cmath.exp(1j * draw(st.floats(0.0, TWO_PI)))
@@ -291,6 +293,22 @@ def test_random_products_solve_or_raise_typed(triple):
     assert clark_measure(f, alpha, power) is mu
 
 
+@given(clark_triples(max_modulus=0.999))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_near_circle_products_land_within_round_off(triple):
+    # |(f^p)'| reaches about 1e11 here, and an angle one ulp(2 pi) off
+    # lands |(f^p)'| ulp(2 pi) from alpha: each atom must land within
+    # 4 ulp(2 pi) / weight, as 1 / weight = |(f^p)'|
+    f, alpha, power = triple
+    try:
+        mu = clark_measure(f, alpha, power)
+    except (RootBracketFailure, BudgetExceeded):
+        return
+    assert abs(float(np.sum(mu.weights)) - 1.0) <= 1e-10
+    landing = np.abs(f.boundary_orbit(np.exp(1j * mu.angles), power) - alpha.value)
+    assert np.all(landing <= 4 * math.ulp(TWO_PI) / mu.weights)
+
+
 class TestPullback:
     PARITY_CASES = ([("z2", monomial(2), n) for n in range(1, 11)]
                     + [("deg2-half", DEG2_HALF, n) for n in range(1, 11)]
@@ -310,7 +328,7 @@ class TestPullback:
 
     # every closed-form path, each up to the atom cap
     CLOSED_FORM_CASES = [("z2", monomial(2), 12), ("z3", monomial(3), 7),
-                         ("z5-rotated", BlaschkeProduct(zeros=(0.0,) * 5, rotation=cmath.exp(2.1j)), 5),
+                         ("z5-rotated", Z5_ROTATED, 5),
                          ("deg2-half", DEG2_HALF, 12), ("deg2-rotated", DEG2_ROTATED, 12)]
 
     @pytest.mark.parametrize("name,f,top", CLOSED_FORM_CASES,
@@ -323,6 +341,21 @@ class TestPullback:
                 ref_angles, ref_weights = companion_atoms(f, power, alpha)
                 assert np.max(circle_distance(angles, ref_angles)) <= 2e-15, power
                 assert np.max(np.abs(weights / ref_weights - 1.0)) <= 4e-15, power
+
+    @pytest.mark.parametrize("f", [monomial(3), Z5_ROTATED, DEG2_HALF, DEG2_ROTATED],
+                             ids=["z3", "z5-rotated", "deg2-half", "deg2-rotated"])
+    def test_closed_forms_take_no_newton_step(self, monkeypatch, f):
+        # a Newton step evaluates f; the closed forms never do
+        def refuse(self, z):
+            raise AssertionError("BlaschkeProduct._eval called")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(BlaschkeProduct, "_eval", refuse)
+            angles, weights = BoundaryAtomSolver(f, 3).atoms(0.37)
+            with pytest.raises(AssertionError, match="_eval called"):
+                BoundaryAtomSolver(DEG3_MIXED, 3).atoms(0.37)
+        assert len(angles) == f.degree ** 3
+        assert abs(float(np.sum(weights)) - 1.0) <= 1e-10
 
     @pytest.mark.parametrize("f,top", [(DEG3_MIXED, 5), (near_circle_map(0.99), 3)],
                              ids=["deg3-mixed", "deg3-near-circle"])
@@ -366,7 +399,7 @@ class TestPullback:
                 assert np.max(circle_distance(angles, ref_angles)) <= 2e-15
 
     def test_desintegrate_matches_per_alpha_atoms(self):
-        # deg3-mixed takes the companion path, deg2-half the quadratic formula
+        # deg3-mixed takes the companion path, deg2-half the half-angle form
         observable = lambda z: np.real(z) ** 2 + z ** 3
         for f in (DEG3_MIXED, DEG2_HALF):
             double, _ = desintegrate(f, observable, k_alpha=64, power=2)

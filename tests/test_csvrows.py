@@ -1,5 +1,9 @@
 """The numpy row formatter of samples.csv against Python's own repr."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -86,3 +90,13 @@ class TestSweep:
                 near.append(x)
         values = np.concatenate(near)
         _assert_rows_match_repr(np.concatenate([values, -values]))
+
+
+def test_digit_tables_are_built_on_first_use():
+    # importing the CLI builds no digit table; the first rows call builds it
+    code = ("import innerclt.cli; from innerclt import _csvrows; "
+            "assert _csvrows._tables.cache_info().currsize == 0; "
+            "assert _csvrows.rows([0.5, -1.25]) == b'0.5,-1.25\\r\\n'; "
+            "assert _csvrows._tables.cache_info().currsize == 1")
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
