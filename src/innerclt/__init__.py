@@ -14,12 +14,11 @@ from .correlations import (BlockSum, CorrelationSpec, PhiReport,
                            block_product_factorization, decay_check,
                            four_factor, higher_correlation, pair_correlation,
                            phi_exponent)
-from .quadrature import (check_invariance, counter_uniform, integrate,
-                         mc_integrate, uniform_angles)
+from .quadrature import check_invariance, counter_uniform, integrate, uniform_angles
 from .variance import (CoefficientSequence, SplitPlan, VarianceReport,
-                       asymptotic_sigma_squared, auxiliary_bound_check,
-                       growth_condition, l2_identity_check, l4_ratio,
-                       quasiorthogonality, sigma_N_squared, split_plan,
-                       tail_sigma_squared, toeplitz_sandwich)
+                       asymptotic_sigma_squared, growth_condition,
+                       l2_identity_check, l4_ratio, quasiorthogonality,
+                       sigma_N_squared, split_plan, tail_sigma_squared,
+                       toeplitz_sandwich)
 
 __version__ = "0.1.0"

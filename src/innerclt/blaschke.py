@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import cmath
 import itertools
-import json
 import math
 from dataclasses import dataclass
 
@@ -26,8 +25,6 @@ ROTATION_TOL = 1e-14
 POLE_GUARD = 1e-12
 RADIUS_SLACK = 1e-9
 ITERATION_CAP = 64
-SIZE_FIT_MAX_EXPONENT = 32
-SIZE_FIT_MAX_POWER = 20
 
 
 @dataclass(frozen=True)
@@ -110,10 +107,6 @@ class BlaschkeProduct:
     @property
     def nonzero_zeros(self) -> tuple:
         return self._nonzero_zeros
-
-    @property
-    def not_rotation(self) -> bool:
-        return self.degree >= 2
 
     # -- evaluation ---------------------------------------------------------
 
@@ -267,18 +260,11 @@ class BlaschkeProduct:
             "rotation": [self.rotation.real, self.rotation.imag],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
     @classmethod
     def from_dict(cls, data: dict) -> "BlaschkeProduct":
         zeros = tuple(complex(re, im) for re, im in data["zeros"])
         rot = data.get("rotation", [1.0, 0.0])
         return cls(zeros=zeros, rotation=complex(rot[0], rot[1]))
-
-    @classmethod
-    def from_json(cls, text: str) -> "BlaschkeProduct":
-        return cls.from_dict(json.loads(text))
 
 
 def monomial(power: int) -> BlaschkeProduct:
@@ -318,25 +304,3 @@ def iterate_derivative_on_circle(f: BlaschkeProduct, z, n: int):
         out = f._derivative(cur) * out
     return out
 
-
-def fit_size_bound_exponent(f: BlaschkeProduct) -> int:
-    """Smallest d with |f^n(w)| < |f'(0)|^n (1-|w|)^{-d} on a radius sweep.
-
-    Requires 0 < |f'(0)| < 1.  The fitted d is then usable as a global
-    exponent for the iterate size bound.
-    """
-    a = abs(f.taylor_at_zero().c1)
-    if not 0.0 < a < 1.0:
-        raise ValueError("size bound requires 0 < |f'(0)| < 1")
-    radii = np.linspace(0.05, 0.95, 19)
-    angles = np.linspace(0.0, TWO_PI, 24, endpoint=False)
-    w = (radii[:, None] * np.exp(1j * angles[None, :])).ravel()
-    iterates = [f(w)]
-    for _ in range(SIZE_FIT_MAX_POWER - 1):
-        iterates.append(f(iterates[-1]))
-    sizes = np.abs(iterates)
-    scale = a ** np.arange(1, SIZE_FIT_MAX_POWER + 1)[:, None]
-    for d in range(1, SIZE_FIT_MAX_EXPONENT + 1):
-        if np.all(sizes < scale * (1.0 - np.abs(w)) ** (-d)):
-            return d
-    raise ValueError(f"no exponent d <= {SIZE_FIT_MAX_EXPONENT} satisfies the size bound")

@@ -30,6 +30,10 @@ from .errors import BudgetExceeded, RootBracketFailure
 from .quadrature import integrate
 
 ATOM_COUNT_CAP = 4096
+# the largest power any map of degree >= 2 reaches under the atom cap (2^12
+# atoms at d = 2).  A rotation has one atom at every power, but each power is
+# one more level of pullback, with its time and its rounding, so it stops here too.
+POWER_CAP = ATOM_COUNT_CAP.bit_length() - 1
 NEWTON_STEPS = 3
 WEIGHT_SUM_TOL = 1e-10
 
@@ -69,14 +73,6 @@ class ClarkMeasure:
         }
 
 
-@dataclass(frozen=True)
-class MomentBoundCheck:
-    passed: bool
-    max_coeff: float
-    bound: float
-    vacuous: bool
-
-
 class BoundaryAtomSolver:
     """Solves f^n(zeta) = alpha by pulling alpha back through the inverse branches of f.
 
@@ -100,9 +96,11 @@ class BoundaryAtomSolver:
             raise ValueError("power must be >= 1")
         self.f = f
         self.power = power
-        # any d >= 2 passes the cap by power 13, so no huge d^power is formed
-        if f.degree ** min(power, ATOM_COUNT_CAP.bit_length()) > ATOM_COUNT_CAP:
+        # any d >= 2 passes the cap by POWER_CAP + 1, so no huge d^power is formed
+        if f.degree ** min(power, POWER_CAP + 1) > ATOM_COUNT_CAP:
             raise BudgetExceeded(f"degree {f.degree}^{power} exceeds atom cap {ATOM_COUNT_CAP}")
+        if power > POWER_CAP:
+            raise BudgetExceeded(f"power {power} exceeds the power cap {POWER_CAP}")
         if not f.nonzero_zeros:
             self._root_shift = TWO_PI * np.arange(f.degree) - np.angle(f.rotation)
             return
@@ -266,30 +264,3 @@ def desintegrate(f: BlaschkeProduct, observable, k_alpha: int = 512, power: int 
     direct = integrate(observable, tol=1e-13).value
     return double, abs(double - direct)
 
-
-def check_moment_bound(f: BlaschkeProduct, power: int, order: int) -> MomentBoundCheck:
-    """Check max_k |c_k| <= |f'(0)|^{power/2}, c_k = [z^order] (f^power)^k."""
-    if not 1 <= order <= power:
-        raise ValueError("need 1 <= order <= power")
-    a = abs(f.taylor_at_zero().c1)
-    max_coeff = max(abs(c) for c in taylor_table(f, power, order)[order, 1:].tolist())
-    if a == 0.0:
-        return MomentBoundCheck(max_coeff <= 1e-12, max_coeff, 0.0, True)
-    bound = a ** (power / 2.0)
-    return MomentBoundCheck(max_coeff <= bound + 1e-12, max_coeff, bound, False)
-
-
-def moment_bound_onset(f: BlaschkeProduct, power_values, order_cap: int = 3):
-    """Smallest power from which the moment bound holds for all tested orders.
-
-    Returns None if no tested power starts an all-pass suffix.  Only that
-    suffix counts, so the powers are checked from the top down until the
-    first failure.
-    """
-    onset = None
-    for n in sorted(power_values, reverse=True):
-        if not all(check_moment_bound(f, n, ell).passed
-                   for ell in range(1, min(n, order_cap) + 1)):
-            break
-        onset = n
-    return onset

@@ -252,6 +252,21 @@ def run_simulate(args) -> int:
     return 0 if report.passed else 1
 
 
+def run_dump(args) -> int:
+    # a bad map, angle or power is a usage error: CirclePoint and the atom
+    # solver's constructor reject the last two before any solve
+    try:
+        with open(args.map) as fh:
+            f = BlaschkeProduct.from_dict(json.load(fh))
+        mu = clark_measure(f, CirclePoint(args.alpha), power=args.power)
+    except INPUT_ERRORS as exc:
+        # `main` turns this into a usage error
+        raise argparse.ArgumentError(None, _input_error("clark dump", exc)) from exc
+    json.dump(mu.to_dict(), sys.stdout, indent=2)
+    print()
+    return 0
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="innerclt",
@@ -278,6 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     dump.add_argument("--map", required=True)
     dump.add_argument("--alpha", type=float, required=True)
     dump.add_argument("--power", type=int, default=1)
+    dump.set_defaults(func=run_dump)
     return parser
 
 
@@ -287,22 +303,10 @@ def main(argv=None) -> int:
     if args.command == "verify" and args.csv and args.suite in ("invariance", "clark"):
         # checked before any suite runs: these suites write no table
         parser.error(f"verify {args.suite} writes no table for --csv")
-    if args.command != "clark":
-        try:
-            return args.func(args)
-        except argparse.ArgumentError as exc:
-            parser.error(str(exc))
-    # a bad map, angle or power is a usage error: CirclePoint and the atom
-    # solver's constructor reject the last two before any solve
     try:
-        with open(args.map) as fh:
-            f = BlaschkeProduct.from_dict(json.load(fh))
-        mu = clark_measure(f, CirclePoint(args.alpha), power=args.power)
-    except INPUT_ERRORS as exc:
-        parser.error(_input_error("clark dump", exc))
-    json.dump(mu.to_dict(), sys.stdout, indent=2)
-    print()
-    return 0
+        return args.func(args)
+    except argparse.ArgumentError as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

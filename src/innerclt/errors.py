@@ -4,8 +4,8 @@
 class NonConvergence(RuntimeError):
     """Quadrature failed to meet the requested tolerance at the grid cap.
 
-    Carries the last computed value and the last refinement delta so callers
-    can decide whether to fall back to Monte Carlo.
+    Carries the last computed value, the last refinement delta and the grid
+    size, so a caller can report how far the integral got.
     """
 
     def __init__(self, message, value=None, est_error=None, grid_size=None):

@@ -1,8 +1,8 @@
 """Integration over the unit circle with respect to normalized Lebesgue measure.
 
-Two routes: spectrally accurate uniform-grid quadrature (the periodic
-trapezoid rule collapses to a plain average) with grid doubling, and a
-seeded counter-based Monte Carlo fallback with standard-error reporting.
+Spectrally accurate uniform-grid quadrature (the periodic trapezoid rule
+collapses to a plain average) with grid doubling, and seeded counter-based
+uniforms for sampling points on the circle.
 """
 
 from __future__ import annotations
@@ -30,14 +30,6 @@ class QuadratureResult:
     value: complex
     grid_size: int
     est_error: float
-
-
-@dataclass(frozen=True)
-class MonteCarloResult:
-    value: complex
-    samples: int
-    stderr: float
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -186,20 +178,6 @@ def counter_uniform(seed: int, count: int, start: int = 0) -> np.ndarray:
 
 def uniform_angles(seed: int, count: int, start: int = 0) -> np.ndarray:
     return TWO_PI * counter_uniform(seed, count, start)
-
-
-def mc_integrate(g, samples: int, seed: int) -> MonteCarloResult:
-    """Monte Carlo average of g over the circle with reported stderr."""
-    if samples < 100:
-        raise ValueError("samples must be >= 100")
-    z = np.exp(1j * uniform_angles(seed, samples))
-    vals = np.asarray(g(z), dtype=complex)
-    value = complex(np.mean(vals))
-    if samples > 1:
-        var = float(np.sum(np.abs(vals - value) ** 2)) / (samples - 1)
-    else:
-        var = 0.0
-    return MonteCarloResult(value, samples, math.sqrt(var / samples), seed)
 
 
 def check_invariance(f, observable) -> InvarianceCheck:

@@ -152,34 +152,6 @@ def toeplitz_sandwich(a: CoefficientSequence, lam: complex, N: int) -> VarianceR
     return report
 
 
-@dataclass(frozen=True)
-class AuxiliaryBoundResult:
-    lhs: float
-    bound: float
-    passed: bool
-    slack: float
-
-
-def auxiliary_bound_check(a: CoefficientSequence, lam: complex,
-                          index_set=None) -> AuxiliaryBoundResult:
-    """|sum_{n<k in A} conj(a_n) a_k lam^{k-n}| <= |lam|/(1-|lam|) sum_A |a_n|^2."""
-    if abs(lam) >= 1.0:
-        raise ValueError("need |lambda| < 1")
-    if index_set is None:
-        index_set = range(1, len(a) + 1)
-    idx = sorted(set(int(n) for n in index_set))
-    if not idx or idx[0] < 1 or idx[-1] > len(a):
-        raise ValueError("index set must be nonempty within the stored range")
-    pos = np.array(idx) - 1
-    vals = a.values[pos]
-    scattered = np.zeros(idx[-1], dtype=complex)
-    scattered[pos] = vals
-    lhs = abs(_cross_sum(scattered, lam))
-    bound = abs(lam) / (1.0 - abs(lam)) * float(np.sum(np.abs(vals) ** 2))
-    slack = bound - lhs
-    return AuxiliaryBoundResult(lhs, bound, lhs <= bound + 1e-12, slack)
-
-
 def _partial_sum_moment(f, a: CoefficientSequence, N: int, p: int) -> float:
     """int |sum a_n f^{n-1}|^p dm, by f-invariance of m that of sum a_n f^n.
 

@@ -1,6 +1,7 @@
 """Blaschke product evaluation, Taylor data and boundary dynamics."""
 
 import cmath
+import json
 import math
 
 import numpy as np
@@ -9,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from innerclt import clt
-from innerclt.blaschke import (BlaschkeProduct, CirclePoint, fit_size_bound_exponent,
-                               iterate_derivative_on_circle, monomial, taylor_table)
+from innerclt.blaschke import (BlaschkeProduct, CirclePoint, iterate_derivative_on_circle,
+                               monomial, taylor_table)
 from innerclt.clark import clark_measure
 from innerclt.correlations import (BlockSum, CorrelationSpec, block_product_factorization,
                                    four_factor, higher_correlation, pair_correlation)
@@ -58,10 +59,6 @@ class TestConstruction:
         assert DEG3_MIXED.degree == 3
         assert DEG3_MIXED.origin_multiplicity == 1
         assert monomial(4).origin_multiplicity == 4
-
-    def test_not_rotation_flag(self):
-        assert not BlaschkeProduct(zeros=(0.0,)).not_rotation
-        assert DEG2_HALF.not_rotation
 
 
 class TestEvaluation:
@@ -483,19 +480,10 @@ class TestCirclePoint:
 class TestSerialization:
     @pytest.mark.parametrize("f", [DEG2_HALF, DEG3_MIXED, monomial(3)])
     def test_json_roundtrip(self, f):
-        g = BlaschkeProduct.from_json(f.to_json())
+        g = BlaschkeProduct.from_dict(json.loads(json.dumps(f.to_dict())))
         assert g.zeros == f.zeros
         assert abs(g.rotation - f.rotation) < 1e-15
 
     def test_rotation_defaults_to_one(self):
         g = BlaschkeProduct.from_dict({"zeros": [[0.0, 0.0], [0.5, 0.0]]})
         assert g.rotation == 1.0 + 0j
-
-
-def test_size_bound_exponent_is_small():
-    assert fit_size_bound_exponent(DEG2_HALF) <= 4
-
-
-def test_size_bound_requires_contracting_derivative():
-    with pytest.raises(ValueError):
-        fit_size_bound_exponent(monomial(2))

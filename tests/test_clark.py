@@ -12,8 +12,7 @@ from innerclt import clark
 from innerclt.blaschke import (BlaschkeProduct, CirclePoint,
                                iterate_derivative_on_circle, monomial, taylor_table)
 from innerclt.clark import (BoundaryAtomSolver, ClarkMeasure, check_first_moment,
-                            check_moment_bound, check_second_moment,
-                            clark_measure, desintegrate, moment_bound_onset)
+                            check_second_moment, clark_measure, desintegrate)
 from innerclt.errors import BudgetExceeded, RootBracketFailure
 
 TWO_PI = 2 * math.pi
@@ -154,6 +153,12 @@ class TestGeneralAtoms:
         # 2^20000 has more digits than int-to-str conversion allows
         with pytest.raises(BudgetExceeded, match=r"degree 2\^20000 exceeds atom cap 4096"):
             BoundaryAtomSolver(DEG2_HALF, power=20_000)
+        # a rotation has one atom at every power, but no more levels than d = 2
+        rot = BlaschkeProduct(zeros=(0.0,), rotation=0.6 + 0.8j)
+        assert len(clark_measure(rot, CirclePoint(1.0), power=12).atoms) == 1
+        for power in (13, 10 ** 6):
+            with pytest.raises(BudgetExceeded, match=f"power {power} exceeds the power cap 12"):
+                clark_measure(rot, CirclePoint(1.0), power=power)
 
 
 class TestClarkMeasureArray:
@@ -459,35 +464,6 @@ class TestTaylorMoments:
         herglotz = sum(c * np.conj(alpha.value) ** k for k, c in enumerate(row, 1))
         assert abs(np.conj(herglotz) - mu.moment(1)) < 1e-8
 
-    def test_bound_reads_the_table_row(self):
-        for power, order in ((3, 1), (5, 2), (6, 3)):
-            row = taylor_table(DEG2_HALF, power, order)[order, 1:]
-            assert check_moment_bound(DEG2_HALF, power, order).max_coeff == max(map(abs, row.tolist()))
-
-    @pytest.mark.parametrize("order", [0, -1, 4])
-    def test_bound_rejects_orders_outside_one_to_power(self, order):
-        with pytest.raises(ValueError, match="need 1 <= order <= power"):
-            check_moment_bound(DEG2_HALF, 3, order)
-
-    def test_monomial_bound_vacuous(self):
-        check = check_moment_bound(monomial(2), 3, 1)
-        assert check.vacuous
-        assert check.passed
-
-    def test_onset_walks_down_to_the_first_failure(self, monkeypatch):
-        # the walk from the top checks every power from 15 down to 3,
-        # where the bound first fails
-        tried = []
-
-        def spy(f, power, order):
-            tried.append(power)
-            return check_moment_bound(f, power, order)
-
-        monkeypatch.setattr(clark, "check_moment_bound", spy)
-        assert moment_bound_onset(DEG2_HALF, range(1, 16)) == 4
-        assert list(dict.fromkeys(tried)) == list(range(15, 2, -1))
-        assert not all(check_moment_bound(DEG2_HALF, 3, order).passed for order in (1, 2, 3))
-
     # deg2-half at powers 11 and 12 and a rotated complex-zero map at 12:
     # circle quadrature of these moments does not converge on its
     # 2^18-point grid, the Taylor table has no such limit
@@ -504,13 +480,3 @@ class TestTaylorMoments:
                 target = np.sum(np.conj(row) * alpha.value ** np.arange(1, ell + 1))
                 assert abs(mu.moment(ell) - target) < 1e-12, ell
 
-    def test_bound_eventually_holds(self):
-        onset = moment_bound_onset(DEG2_HALF, range(1, 8), order_cap=2)
-        assert onset is not None
-        for power in range(onset, 8):
-            for order in (1, min(2, power)):
-                assert check_moment_bound(DEG2_HALF, power, order).passed
-        if onset > 1:  # the onset is the smallest such power
-            below = onset - 1
-            assert not all(check_moment_bound(DEG2_HALF, below, order).passed
-                           for order in range(1, min(2, below) + 1))

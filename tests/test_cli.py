@@ -377,6 +377,17 @@ class TestClarkDump:
         assert message in captured.err and captured.out == ""
         assert solved == []  # rejected before any solve
 
+    def test_rotation_past_the_power_cap_is_a_usage_error(self, tmp_path, capsys):
+        map_path = tmp_path / "rotation.json"
+        map_path.write_text(json.dumps({"zeros": [[0.0, 0.0]], "rotation": [0.6, 0.8]}))
+        with pytest.raises(SystemExit) as exc:
+            main(["clark", "dump", "--map", str(map_path), "--alpha", "1.0", "--power", "13"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            "innerclt: error: clark dump: power 13 exceeds the power cap 12")
+
     @pytest.mark.parametrize("text, message", [
         (None, "No such file or directory"),
         ("{not json", "Expecting property name"),

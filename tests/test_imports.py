@@ -1,6 +1,8 @@
-"""Source hygiene: every package module references each name it imports."""
+"""Source hygiene: every package module references each name it imports,
+and each public name it defines has a caller."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -10,6 +12,16 @@ import innerclt
 PACKAGE = Path(innerclt.__file__).resolve().parent
 # __init__.py imports names only to re-export them
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+BENCH = sorted((PACKAGE.parents[1] / "perfbench").glob("*.py"))
+# public names that stay with no caller, each for a stated reason
+UNCALLED_ALLOWED = {
+    # the ratio that exact fourth moments of partial sums will replace
+    "l4_ratio",
+    # the quadrature pair integral that exact correlation integrals will replace
+    "iterate_pair_integral",
+    # the chain-rule reference that tests/test_clark.py checks Clark weights against
+    "iterate_derivative_on_circle",
+}
 
 
 def unused_imports(source: str) -> list:
@@ -23,6 +35,50 @@ def unused_imports(source: str) -> list:
             imported.update(a.asname or a.name for a in node.names)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return sorted(imported - used)
+
+
+def uncalled_names(sources: dict, texts=()) -> list:
+    """Top-level public functions and classes of sources that nothing calls.
+
+    sources maps a module name to its source.  A name counts as called when a
+    Name or Attribute node outside its own definition, in any of the sources,
+    reads it, or when it appears as a word in one of texts.
+    """
+    defined, referenced = [], set()
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            own = None
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                own = stmt.name
+                if not own.startswith("_"):
+                    defined.append((module, own))
+            for node in ast.walk(stmt):
+                name = node.id if isinstance(node, ast.Name) else \
+                    node.attr if isinstance(node, ast.Attribute) else None
+                if name is not None and name != own:
+                    referenced.add(name)
+    words = set(re.findall(r"\w+", "\n".join(texts)))
+    return sorted(f"{module}.{name}" for module, name in defined
+                  if name not in referenced | words)
+
+
+def test_uncalled_detector():
+    sources = {
+        "a": "def used():\n    return helper()\n\ndef helper():\n    pass\n\n"
+             "def recursive(n):\n    return recursive(n - 1)\n\ndef _private():\n    pass\n",
+        "b": "import a\n\nclass Result:\n    pass\n\ndef lonely() -> Result:\n"
+             "    return a.used()\n\ndef benched():\n    pass\n",
+    }
+    assert uncalled_names(sources, ["from b import benched"]) == [
+        "a.recursive", "b.lonely"]
+
+
+def test_every_public_name_has_a_caller():
+    sources = {p.stem: p.read_text() for p in MODULES}
+    texts = [p.read_text() for p in BENCH]
+    uncalled = [n for n in uncalled_names(sources, texts)
+                if n.split(".")[1] not in UNCALLED_ALLOWED]
+    assert uncalled == []
 
 
 def test_detector_flags_only_unreferenced_names():

@@ -17,7 +17,7 @@ from innerclt.correlations import _signed_integrand, pair_correlation
 from innerclt.errors import BudgetExceeded, NonConvergence
 from innerclt.quadrature import (BLOCK, DEFAULT_MAX_GRID, TWO_PI, check_invariance, circle_grid,
                                  counter_uniform, degree_aware_grid, integrate,
-                                 mc_integrate, next_power_of_two, uniform_angles)
+                                 next_power_of_two, uniform_angles)
 from innerclt.variance import CoefficientSequence, l2_identity_check
 
 DEG2_HALF = BlaschkeProduct(zeros=(0.0, 0.5))
@@ -390,17 +390,6 @@ class TestCounterUniform:
     def test_uniform_angles_range(self):
         t = uniform_angles(5, 1000)
         assert np.all((t >= 0.0) & (t < 2 * math.pi))
-
-
-class TestMonteCarlo:
-    def test_matches_quadrature_within_stderr(self):
-        g = lambda z: np.real(z) ** 2
-        mc = mc_integrate(g, 100_000, seed=9)
-        assert abs(mc.value - 0.5) < 5 * mc.stderr
-
-    def test_minimum_samples(self):
-        with pytest.raises(ValueError):
-            mc_integrate(lambda z: z, 10, seed=0)
 
 
 class TestInvariance:
