@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -159,6 +160,21 @@ class TestGeneralAtoms:
         for power in (13, 10 ** 6):
             with pytest.raises(BudgetExceeded, match=f"power {power} exceeds the power cap 12"):
                 clark_measure(rot, CirclePoint(1.0), power=power)
+
+    # the largest power under the caps: d^power <= 4096 and power <= 12
+    @pytest.mark.parametrize("f, top", [
+        (BlaschkeProduct(zeros=(0.0,)), 12),
+        (BlaschkeProduct(zeros=(0.0,), rotation=0.6 + 0.8j), 12),
+        (monomial(2), 12), (DEG2_ROTATED, 12), (DEG3_MIXED, 7), (monomial(4), 6),
+        (Z5_ROTATED, 5)])
+    def test_power_cap_per_degree(self, f, top):
+        mu = clark_measure(f, CirclePoint(0.3), power=top)
+        assert len(mu.atoms) == f.degree ** top
+        assert abs(float(np.sum(mu.weights)) - 1.0) < 1e-10
+        message = (f"power {top + 1} exceeds the power cap 12" if f.degree == 1
+                   else f"degree {f.degree}^{top + 1} exceeds atom cap 4096")
+        with pytest.raises(BudgetExceeded, match=re.escape(message)):
+            BoundaryAtomSolver(f, power=top + 1)
 
 
 class TestClarkMeasureArray:
@@ -463,6 +479,23 @@ class TestTaylorMoments:
         row = taylor_table(DEG2_HALF, 2, 1)[1, 1:]
         herglotz = sum(c * np.conj(alpha.value) ** k for k, c in enumerate(row, 1))
         assert abs(np.conj(herglotz) - mu.moment(1)) < 1e-8
+
+    def test_monomial_bound_vacuous(self):
+        # f'(0) = 0, so the bound is 0: no power of (z^2)^3 = z^8 has a z^1 term
+        assert monomial(2).taylor_at_zero().c1 == 0
+        assert not np.any(taylor_table(monomial(2), 3, 1)[1, 1:])
+
+    def test_bound_eventually_holds(self):
+        # max_k |[z^order] (f^power)^k| <= |f'(0)|^(power/2) from an onset
+        # power on, which grows with the order
+        def holds(power, order):
+            row = taylor_table(DEG2_HALF, power, order)[order, 1:]
+            bound = abs(DEG2_HALF.taylor_at_zero().c1) ** (power / 2.0)
+            return float(np.max(np.abs(row))) <= bound + 1e-12
+
+        assert all(holds(power, 1) for power in range(1, 8))
+        assert not holds(2, 2) and all(holds(power, 2) for power in range(3, 8))
+        assert not holds(3, 3) and all(holds(power, 3) for power in range(4, 8))
 
     # deg2-half at powers 11 and 12 and a rotated complex-zero map at 12:
     # circle quadrature of these moments does not converge on its

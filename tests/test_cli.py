@@ -362,7 +362,8 @@ class TestClarkDump:
         (["--alpha", "1.0", "--power", "0"], "power must be >= 1"),
         (["--alpha", "1.0", "--power", "13"], "exceeds atom cap 4096"),
         (["--alpha", "nan"], "non-finite angle"),
-        (["--alpha", "inf", "--power", "2"], "non-finite angle")])
+        (["--alpha", "inf", "--power", "2"], "non-finite angle"),
+        (["--alpha", "1.0", "--power", "20000"], "degree 2^20000 exceeds atom cap 4096")])
     def test_bad_arguments_are_usage_errors(self, tmp_path, capsys, monkeypatch,
                                             empty_clark_slot, extra, message):
         solved = []

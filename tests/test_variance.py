@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from innerclt.blaschke import BlaschkeProduct, monomial
 from innerclt.errors import RegimeTooSmall
 from innerclt.quadrature import integrate
-from innerclt.variance import (CoefficientSequence, asymptotic_sigma_squared,
+from innerclt.variance import (CoefficientSequence, _cross_sum, asymptotic_sigma_squared,
                                growth_condition, l2_identity_check, l4_ratio,
                                quasiorthogonality, sigma_N_squared, split_plan,
                                tail_sigma_squared, toeplitz_sandwich,
@@ -32,6 +32,28 @@ def ref_sigma2(arr, lam):
     cross = sum((lam ** k * auto).real
                 for k, auto in enumerate(ref_lag_sums(arr), start=1))
     return float(np.sum(np.abs(arr) ** 2)) + 2.0 * cross
+
+
+def ref_pair_sum(arr, idx, lam):
+    """|sum_{n<k in idx} conj(a_n) a_k lam^(k-n)|, pair by pair (1-based idx)."""
+    vals = arr[np.array(idx) - 1]
+    pos = np.array(idx)
+    total = 0j
+    for i in range(len(idx)):
+        total += np.sum(np.conj(vals[i]) * vals[i + 1:] * lam ** (pos[i + 1:] - pos[i]))
+    return abs(complex(total))
+
+
+def auxiliary_bound(arr, idx, lam):
+    """|cross sum over idx| of `_cross_sum` and its bound |lam|/(1-|lam|) sum_idx |a_n|^2.
+
+    The values off idx are zeroed, so the one-pass recursion runs across them.
+    """
+    pos = np.array(idx) - 1
+    scattered = np.zeros(pos[-1] + 1, dtype=complex)
+    scattered[pos] = arr[pos]
+    bound = abs(lam) / (1.0 - abs(lam)) * float(np.sum(np.abs(arr[pos]) ** 2))
+    return abs(_cross_sum(scattered, lam)), bound
 
 
 def assert_rel_close(value, ref):
@@ -95,6 +117,18 @@ class TestAgainstDoubleSum:
             assert_rel_close(sigma_N_squared(a, lam, n), ref_sigma2(arr, lam))
             assert_rel_close(tail_sigma_squared(a, lam, start),
                              ref_sigma2(arr[start - 1:], lam))
+
+    @pytest.mark.parametrize("lam", REF_LAMBDAS)
+    @pytest.mark.parametrize("n", [1, 2, 50, 500])
+    def test_auxiliary_bound(self, n, lam):
+        vals = random_complex(n, seed=n + 1)
+        consecutive = range(1, n + 1)
+        sparse = sorted(np.random.default_rng(n).choice(
+            n, size=max(1, n // 3), replace=False) + 1)
+        for idx in (consecutive, sparse):
+            lhs, bound = auxiliary_bound(vals, list(idx), lam)
+            assert_rel_close(lhs, ref_pair_sum(vals, list(idx), lam))
+            assert lhs <= bound + 1e-12
 
     @pytest.mark.parametrize("lam", REF_LAMBDAS)
     @pytest.mark.parametrize("n", [50, 500])  # shorter sequences hold no block
@@ -194,6 +228,33 @@ class TestToeplitzSandwich:
             a = CoefficientSequence.explicit(vals)
             rep = toeplitz_sandwich(a, 0.7j, 32)  # constructor asserts sandwich
             assert rep.sigma2 > 0
+
+
+class TestAuxiliaryBound:
+    """|sum_{n<k in A} conj(a_n) a_k lam^(k-n)| <= |lam|/(1-|lam|) sum_A |a_n|^2."""
+
+    def test_zero_lambda(self):
+        lhs, bound = auxiliary_bound(np.ones(10, dtype=complex), range(1, 11), 0.0)
+        assert lhs == 0.0 == bound
+
+    def test_ones_closed_form(self):
+        n = 20
+        lhs, bound = auxiliary_bound(np.ones(n, dtype=complex), range(1, n + 1), 0.5)
+        expected = sum(0.5 ** j * (n - j) for j in range(1, n))
+        assert abs(lhs - expected) < 1e-10
+        assert bound == pytest.approx(n)
+        assert lhs <= bound
+
+    def test_random_sweep_high_lambda(self):
+        for seed in range(20):
+            a = CoefficientSequence.random_signs(64, seed)
+            lhs, bound = auxiliary_bound(a.array(), range(1, 65), 0.9)
+            assert lhs <= bound + 1e-12
+
+    def test_sparse_index_set(self):
+        lhs, _ = auxiliary_bound(np.ones(20, dtype=complex), (1, 5, 9), 0.5)
+        expected = abs(0.5 ** 4 + 0.5 ** 8 + 0.5 ** 4)
+        assert abs(lhs - expected) < 1e-12
 
 
 class TestNormIdentities:
