@@ -267,6 +267,17 @@ class BlaschkeProduct:
         return cls(zeros=zeros, rotation=complex(rot[0], rot[1]))
 
 
+def _accumulate(f: BlaschkeProduct, coeffs: np.ndarray, z: np.ndarray,
+                start_power: int = 1) -> np.ndarray:
+    """sum_j coeffs[j] f^{start_power + j}(z) in one orbit pass, walked
+    unvalidated: z are the package's own points (clt's or quadrature's)."""
+    orbit = f._walk(z, start_power + len(coeffs) - 1)
+    acc = np.zeros_like(z)
+    for c, cur in zip(coeffs, itertools.islice(orbit, start_power, None)):
+        acc = acc + c * cur
+    return acc
+
+
 def monomial(power: int) -> BlaschkeProduct:
     """The map z -> z^power."""
     if power < 1:

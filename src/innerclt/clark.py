@@ -11,17 +11,18 @@ Since f(0) = 0 the moments are Taylor coefficients, int conj(zeta)^l d mu_alpha
 = sum_j conj(alpha)^j [z^l] (f^n)^j, and the moment checks read their
 coefficients straight from row l of `blaschke.taylor_table(f, n, l)`.
 
-`clark_measure` keeps the last measure it solved in a one-slot memo, keyed
-by the exact float bits of f's zeros and rotation and of alpha, and by the
-power.  The moment checks take their measure from `clark_measure`, so a
-measure followed by its first and second moments solves the atoms once.
-The slot holds one triple only, so a different (f, alpha, power) always
-solves afresh, and a failed solve leaves it as it was.
+`clark_measure` keeps the last measure it solved in an `lru_cache` of size
+one, keyed by the exact float bits of f's zeros and rotation and of alpha,
+and by the power.  The moment checks take their measure from
+`clark_measure`, so a measure followed by its first and second moments
+solves the atoms once.  The cache holds one triple only, so a different
+(f, alpha, power) always solves afresh, and a failed solve leaves it as it was.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -191,12 +192,6 @@ class BoundaryAtomSolver:
         return theta[0, order], weights[0, order]
 
 
-# (key, measure) of the last measure clark_measure solved.  One assignment
-# replaces both, so a reader never pairs a key with another triple's measure;
-# ClarkMeasure is frozen with read-only atoms, so callers share it.
-_last_measure = None
-
-
 def _measure_key(f: BlaschkeProduct, alpha: CirclePoint, power) -> tuple:
     """The exact float bits of f and alpha, and power: equal keys solve alike.
 
@@ -207,25 +202,24 @@ def _measure_key(f: BlaschkeProduct, alpha: CirclePoint, power) -> tuple:
     return bits, power
 
 
+@lru_cache(maxsize=1)
+def _solve(key, f: BlaschkeProduct, alpha: CirclePoint, power: int) -> ClarkMeasure:
+    """The measure of (f, alpha, power).  key, their `_measure_key`, makes the
+    cache tell apart the zeros that BlaschkeProduct equality takes as one."""
+    angles, weights = BoundaryAtomSolver(f, power).atoms(alpha.theta)
+    total = float(np.sum(weights))
+    if abs(total - 1.0) > WEIGHT_SUM_TOL:
+        raise RootBracketFailure(
+            f"clark weights sum to {total}, not 1; atom solve is suspect")
+    return ClarkMeasure(alpha=alpha, atoms=np.column_stack((angles, weights)))
+
+
 def clark_measure(f: BlaschkeProduct, alpha: CirclePoint, power: int = 1) -> ClarkMeasure:
     """The Clark measure of f^power at spectral parameter alpha.
 
     The same (f, alpha, power) twice in a row returns the same object, solved once.
     """
-    global _last_measure
-    key = _measure_key(f, alpha, power)
-    last = _last_measure
-    if last is not None and last[0] == key:
-        return last[1]
-    solver = BoundaryAtomSolver(f, power)
-    angles, weights = solver.atoms(alpha.theta)
-    total = float(np.sum(weights))
-    if abs(total - 1.0) > WEIGHT_SUM_TOL:
-        raise RootBracketFailure(
-            f"clark weights sum to {total}, not 1; atom solve is suspect")
-    mu = ClarkMeasure(alpha=alpha, atoms=np.column_stack((angles, weights)))
-    _last_measure = (key, mu)
-    return mu
+    return _solve(_measure_key(f, alpha, power), f, alpha, power)
 
 
 def _moment_residual(f: BlaschkeProduct, alpha: CirclePoint, power: int, ell: int) -> float:

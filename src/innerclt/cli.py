@@ -94,7 +94,7 @@ def _suite_invariance():
             check = check_invariance(f, g)
             rows.append((f"invariance[{name},G{i}]", check.passed,
                          f"residual={check.residual:.2e}"))
-    return rows
+    return rows, None
 
 
 def _suite_clark():
@@ -119,7 +119,7 @@ def _suite_clark():
         _, res = desintegrate(f, lambda z: np.real(z) ** 2, k_alpha=128)
         rows.append((f"clark-desintegration[{name}]", res <= 1e-8,
                      f"residual={res:.2e}"))
-    return rows
+    return rows, None
 
 
 def _suite_correlations():
@@ -187,22 +187,19 @@ def _suite_variance():
     return rows, csv_rows
 
 
+# name -> (suite returning (rows, csv_rows), header of its --csv table or None)
+SUITES = {
+    "invariance": (_suite_invariance, None),
+    "clark": (_suite_clark, None),
+    "correlations": (_suite_correlations, ("k", "q", "phi", "abs_I", "bound", "pass")),
+    "variance": (_suite_variance, ("N", "S2", "sigma2", "ratio", "growth_ratio",
+                                   "quasi_ratio", "Q_N")),
+}
+
+
 def run_verify(args) -> int:
-    suite = args.suite
-    csv_rows, csv_header = None, None
-    if suite == "invariance":
-        rows = _suite_invariance()
-    elif suite == "clark":
-        rows = _suite_clark()
-    elif suite == "correlations":
-        rows, csv_rows = _suite_correlations()
-        csv_header = ("k", "q", "phi", "abs_I", "bound", "pass")
-    elif suite == "variance":
-        rows, csv_rows = _suite_variance()
-        csv_header = ("N", "S2", "sigma2", "ratio", "growth_ratio",
-                      "quasi_ratio", "Q_N")
-    else:
-        raise ValueError(suite)
+    suite, csv_header = SUITES[args.suite]
+    rows, csv_rows = suite()
     all_pass = True
     for name, passed, detail in rows:
         all_pass &= bool(passed)
@@ -233,12 +230,16 @@ def run_simulate(args) -> int:
         a = coefficients_from_config(config.get("coefficients", {}),
                                      default_length=n if mode != "tail" else 4 * n)
         tol = Tolerances.from_dict(config.get("tolerances", {}))
+        # simulate accepts M >= 1000, but the report needs more
+        require_ks_samples(m)
     except INPUT_ERRORS as exc:
         # `main` turns this into a usage error
         raise argparse.ArgumentError(None, _input_error("clt simulate", exc)) from exc
-    # simulate accepts M >= 1000, but the report needs more: fail before sampling
-    require_ks_samples(m)
-    samples = simulate(f, a, n, m, seed, mode=mode)
+    try:
+        # every check in simulate raises before its first orbit step
+        samples = simulate(f, a, n, m, seed, mode=mode)
+    except ValueError as exc:
+        raise argparse.ArgumentError(None, _input_error("clt simulate", exc)) from exc
     report = gauss_report(samples, tol)
     if mode != "tail":
         _write_samples_csv(out / "samples.csv", samples)
@@ -275,8 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     verify = sub.add_parser("verify", help="run a property suite")
-    verify.add_argument("suite",
-                        choices=["invariance", "clark", "correlations", "variance"])
+    verify.add_argument("suite", choices=SUITES)
     verify.add_argument("--csv", help="CSV table path (correlations and variance only)")
     verify.set_defaults(func=run_verify)
 
@@ -300,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "verify" and args.csv and args.suite in ("invariance", "clark"):
+    if args.command == "verify" and args.csv and SUITES[args.suite][1] is None:
         # checked before any suite runs: these suites write no table
         parser.error(f"verify {args.suite} writes no table for --csv")
     try:

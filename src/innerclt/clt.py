@@ -10,14 +10,13 @@ them.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from ._ndtr import ndtr_sorted
-from .blaschke import BlaschkeProduct, CirclePoint
+from .blaschke import BlaschkeProduct, CirclePoint, _accumulate
 from .errors import HeavyTruncation, InsufficientSamples
 from .quadrature import BLOCK, uniform_angles
 from .variance import (CoefficientSequence, asymptotic_sigma_squared,
@@ -72,20 +71,6 @@ class GaussFitReport:
             "pass": self.passed,
             "tolerances": self.tolerances.to_dict(),
         }
-
-
-def _accumulate(f: BlaschkeProduct, coeffs: np.ndarray, z: np.ndarray,
-                start_power: int = 1) -> np.ndarray:
-    """sum_j coeffs[j] f^{start_power + j}(z), one orbit pass.
-
-    z are the package's own circle points (counter-seeded angles or a
-    CirclePoint), so the orbit is walked without validation.
-    """
-    orbit = f._walk(z, start_power + len(coeffs) - 1)
-    acc = np.zeros_like(z)
-    for c, cur in zip(coeffs, itertools.islice(orbit, start_power, None)):
-        acc = acc + c * cur
-    return acc
 
 
 def _sample(f: BlaschkeProduct, coeffs: np.ndarray, M: int, seed: int,

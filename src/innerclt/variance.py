@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .blaschke import _accumulate
 from .errors import RegimeTooSmall, SandwichViolation
 from .quadrature import circle_grid, integrate
 
@@ -155,17 +156,11 @@ def toeplitz_sandwich(a: CoefficientSequence, lam: complex, N: int) -> VarianceR
 def _partial_sum_moment(f, a: CoefficientSequence, N: int, p: int) -> float:
     """int |sum a_n f^{n-1}|^p dm, by f-invariance of m that of sum a_n f^n.
 
-    The integrand walks the orbit of the quadrature nodes unvalidated.
+    The integrand sums through `_accumulate`, the kernel clt samples with.
     """
     coeffs = a.array(N)
-
-    def g(z):
-        out = np.zeros_like(z)
-        for c, cur in zip(coeffs, f._walk(z, N - 1)):
-            out = out + c * cur
-        return np.abs(out) ** p
-
-    return integrate(g, 1e-11, 4 * f.degree ** (N - 1)).value.real
+    return integrate(lambda z: np.abs(_accumulate(f, coeffs, z, 0)) ** p,
+                     1e-11, 4 * f.degree ** (N - 1)).value.real
 
 
 def l2_identity_check(f, a: CoefficientSequence, N: int) -> float:

@@ -37,10 +37,13 @@ def atom_solves(monkeypatch):
 
 
 @pytest.fixture
-def empty_clark_slot(monkeypatch):
-    """Start the test with no measure in `clark_measure`'s one-slot memo.
+def empty_clark_slot():
+    """Run the test with no measure in `clark_measure`'s one-slot cache.
 
     A test that patches the solver needs this: a measure stored by an
-    earlier test would answer its calls without a solve.
+    earlier test would answer its calls without a solve, and one that a
+    patched solver stored must not answer a later test's.
     """
-    monkeypatch.setattr(clark, "_last_measure", None)
+    clark._solve.cache_clear()
+    yield
+    clark._solve.cache_clear()

@@ -8,7 +8,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from innerclt.blaschke import BlaschkeProduct, CirclePoint, monomial
 from innerclt.clark import (check_first_moment, check_second_moment,

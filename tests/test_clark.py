@@ -268,7 +268,7 @@ class TestMeasureMemo:
             for check in (clark_measure, check_first_moment, check_second_moment):
                 with pytest.raises(RootBracketFailure, match="not 1; atom solve is suspect"):
                     check(DEG2_HALF, alpha, 3)
-            assert clark._last_measure is None
+            assert clark._solve.cache_info().currsize == 0
         assert len(atom_solves) == 3
         mu = clark_measure(DEG2_HALF, alpha, 3)
         assert len(atom_solves) == 4

@@ -13,7 +13,6 @@ from innerclt.blaschke import monomial
 from innerclt.clark import BoundaryAtomSolver
 from innerclt.cli import _write_samples_csv, coefficients_from_config, main
 from innerclt.clt import BLOCK, KS_MIN_SAMPLES, simulate
-from innerclt.errors import InsufficientSamples
 from innerclt.variance import CoefficientSequence
 
 MAP_DEG2_HALF = {"zeros": [[0.0, 0.0], [0.5, 0.0]], "rotation": [1.0, 0.0]}
@@ -160,12 +159,15 @@ class TestSimulateCommand:
         main(["clt", "simulate", "--config", str(cfg), "--out", str(d2)])
         assert (d1 / "samples.csv").read_text() == (d2 / "samples.csv").read_text()
 
-    def test_zero_coefficients_fail_before_writing(self, tmp_path):
+    def test_zero_coefficients_fail_before_writing(self, tmp_path, capsys):
         cfg = self._write_config(tmp_path, coefficients={
             "kind": "explicit", "values": [[0.0, 0.0]] * 12})
         out_dir = tmp_path / "zero"
-        with pytest.raises(ValueError, match="identically zero"):
+        with pytest.raises(SystemExit) as exc:
             main(["clt", "simulate", "--config", str(cfg), "--out", str(out_dir)])
+        assert exc.value.code == 2
+        assert ("clt simulate: normalized sum is identically zero"
+                in capsys.readouterr().err.splitlines()[-1])
         assert not (out_dir / "report.json").exists()
 
     def test_tail_run_removes_stale_samples(self, tmp_path):
@@ -182,19 +184,22 @@ class TestSimulateCommand:
         assert not (out_dir / "samples.csv").exists()
 
     @pytest.mark.parametrize("mode", ["main", "corollary", "tail"])
-    def test_too_few_samples_for_the_report_fail_before_sampling(self, tmp_path,
+    def test_too_few_samples_for_the_report_fail_before_sampling(self, tmp_path, capsys,
                                                                   stepped, mode):
         out_dir = tmp_path / "out"
         main(["clt", "simulate", "--config", str(self._write_config(tmp_path)),
               "--out", str(out_dir)])
+        capsys.readouterr()
         stepped.clear()
         # simulate accepts 5000 samples; the Gauss report needs KS_MIN_SAMPLES
         cfg = self._write_config(
             tmp_path, mode=mode, samples=5000,
             coefficients={"kind": "geometric", "ratio": 0.5, "length": 24})
-        with pytest.raises(InsufficientSamples,
-                           match=f"need >= {KS_MIN_SAMPLES} samples, got 5000"):
+        with pytest.raises(SystemExit) as exc:
             main(["clt", "simulate", "--config", str(cfg), "--out", str(out_dir)])
+        assert exc.value.code == 2
+        assert (f"clt simulate: KS statistics need >= {KS_MIN_SAMPLES} samples, got 5000"
+                in capsys.readouterr().err.splitlines()[-1])
         assert stepped == []
         assert not (out_dir / "report.json").exists()
         assert not (out_dir / "samples.csv").exists()
@@ -204,7 +209,16 @@ class TestSimulateCommand:
         (None, {"tolerances": {"kss": 0.1}}, "unexpected keyword argument 'kss'"),
         (None, {"map": {"zeros": [[0.5, 0.0]]}}, "at least one zero must be exactly 0"),
         (None, {"coefficients": {"kind": "surprise"}}, "unknown coefficient kind"),
-        (None, {"N": "twelve"}, "invalid literal for int()")])
+        (None, {"N": "twelve"}, "invalid literal for int()"),
+        # values that simulate rejects before its first orbit step
+        (None, {"mode": "bogus"}, "clt simulate: unknown mode 'bogus'"),
+        (None, {"N": 30, "coefficients": {"kind": "ones", "length": 10}},
+         "clt simulate: need 1 <= N <= stored coefficient length"),
+        (None, {"samples": 2000},
+         f"clt simulate: KS statistics need >= {KS_MIN_SAMPLES} samples, got 2000"),
+        (None, {"map": {"zeros": [[0.0, 0.0]]}}, "clt simulate: need |lambda| < 1"),
+        (None, {"mode": "tail", "N": 3, "coefficients": {"kind": "ones", "length": 8}},
+         "clt simulate: estimated truncated mass inf exceeds")])
     def test_malformed_config_is_a_usage_error(self, tmp_path, capsys, stepped,
                                                drop, overrides, message):
         out_dir = tmp_path / "out"

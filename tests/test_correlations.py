@@ -2,7 +2,6 @@
 higher-order decay and the gap-weighted exponent."""
 
 import itertools
-import math
 
 import numpy as np
 import pytest

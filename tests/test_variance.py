@@ -1,12 +1,11 @@
 """Variance formulas, sandwich bounds, hypothesis checks and the greedy split."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from innerclt import clt, variance
 from innerclt.blaschke import BlaschkeProduct, monomial
 from innerclt.errors import RegimeTooSmall
 from innerclt.quadrature import integrate
@@ -258,6 +257,10 @@ class TestAuxiliaryBound:
 
 
 class TestNormIdentities:
+    def test_norms_sum_with_the_sampling_kernel(self):
+        # so the L2 identity checks the sums that clt simulate samples
+        assert variance._accumulate is clt._accumulate
+
     def test_monomial_orthogonality(self):
         res = l2_identity_check(monomial(2), CoefficientSequence.ones(8), 4)
         assert res < 1e-10
