@@ -86,8 +86,8 @@ class BlaschkeProduct:
         object.__setattr__(self, "zeros", zeros)
         object.__setattr__(self, "rotation", rotation)
         nonzero = tuple(a for a in zeros if a != 0)
-        object.__setattr__(self, "_nonzero_zeros", nonzero)
-        object.__setattr__(self, "_origin_multiplicity", len(zeros) - len(nonzero))
+        object.__setattr__(self, "nonzero_zeros", nonzero)
+        object.__setattr__(self, "origin_multiplicity", len(zeros) - len(nonzero))
         # (a, conj(a)) per nonzero zero, for the factor (a - z) / (1 - conj(a) z)
         object.__setattr__(self, "_factors", tuple((a, np.conj(a)) for a in nonzero))
         # the poles 1 / conj(a); a subnormal zero's pole overflows, and one
@@ -99,14 +99,6 @@ class BlaschkeProduct:
     @property
     def degree(self) -> int:
         return len(self.zeros)
-
-    @property
-    def origin_multiplicity(self) -> int:
-        return self._origin_multiplicity
-
-    @property
-    def nonzero_zeros(self) -> tuple:
-        return self._nonzero_zeros
 
     # -- evaluation ---------------------------------------------------------
 
@@ -135,7 +127,7 @@ class BlaschkeProduct:
         # complex loop is ten times slower than a multiply for z ** 1 and
         # gives the same bits at every nonzero point.  For m >= 3, z ** m
         # and a chain of multiplies differ bitwise, so ** stays.
-        m = self._origin_multiplicity
+        m = self.origin_multiplicity
         out = (arr if m == 1 else arr ** m) * self.rotation
         for a, conj_a in self._factors:
             out = (a - arr) * out / (1.0 - conj_a * arr)
@@ -171,7 +163,7 @@ class BlaschkeProduct:
         # far; each factor b updates them by the product rule, temporaries
         # on the left as in _eval.
         arr = np.asarray(w, dtype=complex)
-        m = self._origin_multiplicity
+        m = self.origin_multiplicity
         out, dout = arr ** m, m * arr ** (m - 1)
         for a, conj_a in self._factors:
             den = 1.0 - conj_a * arr
@@ -186,7 +178,7 @@ class BlaschkeProduct:
 
         This is also d/dtheta arg f(e^{i theta}), the speed of the boundary map.
         """
-        out = np.full(np.shape(z), float(self._origin_multiplicity))
+        out = np.full(np.shape(z), float(self.origin_multiplicity))
         for a, _ in self._factors:
             out = out + (1.0 - abs(a) ** 2) / np.abs(z - a) ** 2
         return out
@@ -198,9 +190,9 @@ class BlaschkeProduct:
         h (1 - conj(a) z) = r (a - z): h_k = r_k a - r_{k-1} + conj(a) h_{k-1}.
         The rotation multiplies last, so f'(0) = rot * (a_1 a_2 ...).
         """
-        m = self._origin_multiplicity
+        m = self.origin_multiplicity
         rest = [1.0 + 0j] + [0j] * (order - m) if m <= order else []
-        for a in self._nonzero_zeros:
+        for a in self.nonzero_zeros:
             conj_a, r_prev, h = a.conjugate(), 0j, 0j
             for k, r in enumerate(rest):
                 h = r * a - r_prev + conj_a * h

@@ -179,7 +179,7 @@ class BoundaryAtomSolver:
             child, speed = self._preimages(theta)
             theta = child.reshape(len(theta), -1)
             weights = (weights[..., None] / speed).reshape(theta.shape)
-        return theta % TWO_PI, weights
+        return theta % TWO_PI % TWO_PI, weights  # twice: -tiny % 2 pi is 2 pi
 
     def atom_angles(self, alpha_theta: float) -> np.ndarray:
         """All solutions theta of f^n(e^{i theta}) = e^{i alpha_theta}."""

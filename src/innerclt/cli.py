@@ -46,16 +46,23 @@ def _test_maps():
     }
 
 
+def _config_int(value, key: str) -> int:
+    # int() would read 12.7 as 12 and true as 1; a string still goes to int()
+    if isinstance(value, (bool, float)):
+        raise ValueError(f"{key} must be an integer, got {json.dumps(value)}")
+    return int(value)
+
+
 def coefficients_from_config(data: dict, default_length: int) -> CoefficientSequence:
     kind = data.get("kind", "ones")
-    length = int(data.get("length", default_length))
+    length = _config_int(data.get("length", default_length), "length")
     if kind == "ones":
         return CoefficientSequence.ones(length)
     if kind == "explicit":
         values = [complex(re, im) for re, im in data["values"]]
         return CoefficientSequence.explicit(values)
     if kind == "random_signs":
-        return CoefficientSequence.random_signs(length, int(data["seed"]))
+        return CoefficientSequence.random_signs(length, _config_int(data["seed"], "seed"))
     if kind == "geometric":
         return CoefficientSequence.geometric(float(data["ratio"]), length)
     raise ValueError(f"unknown coefficient kind {kind!r}")
@@ -223,9 +230,9 @@ def run_simulate(args) -> int:
         with open(args.config) as fh:
             config = json.load(fh)
         f = BlaschkeProduct.from_dict(config["map"])
-        n = int(config["N"])
-        m = int(config["samples"])
-        seed = int(config["seed"])
+        n = _config_int(config["N"], "N")
+        m = _config_int(config["samples"], "samples")
+        seed = _config_int(config["seed"], "seed")
         mode = config.get("mode", "main")
         a = coefficients_from_config(config.get("coefficients", {}),
                                      default_length=n if mode != "tail" else 4 * n)

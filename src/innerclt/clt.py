@@ -39,6 +39,11 @@ class Tolerances:
     abs4: float = 0.05
     ks: float = 0.02
 
+    def __post_init__(self):
+        for name, value in asdict(self).items():
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"tolerance {name} must be finite and >= 0, got {value}")
+
     @classmethod
     def from_dict(cls, data: dict) -> "Tolerances":
         return cls(**{k: float(v) for k, v in data.items()})

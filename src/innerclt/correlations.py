@@ -57,9 +57,6 @@ class CorrelationSpec:
     def min_gap(self) -> int:
         return min(self.gaps) if self.k >= 2 else 0
 
-    def conjugate(self) -> "CorrelationSpec":
-        return CorrelationSpec(tuple(-s for s in self.signs), self.indices)
-
 
 @dataclass(frozen=True)
 class PhiReport:
@@ -160,7 +157,7 @@ def pair_correlation(f: BlaschkeProduct, k: int, j: int) -> PairCorrelation:
     if not 1 <= k < j:
         raise ValueError("need 1 <= k < j")
     value = _signed_integral(f, (-1, 1), (k, j), 1e-12)
-    target = f.taylor_at_zero().c1 ** (j - k)
+    target = iterate_pair_integral(f, j, k)
     return PairCorrelation(value, target, abs(value - target))
 
 
@@ -341,16 +338,8 @@ def phi_exponent(spec: CorrelationSpec) -> PhiReport:
                      exact_zero=exact_zero)
 
 
-def decay_check(f: BlaschkeProduct, specs, q: int | None = None) -> DecayCheck:
-    """Fit the smallest C with |I| <= C^k k! a^phi over specs; pass at C <= C_CAP.
-
-    With q given, every spec's smallest gap must be >= q; that is checked
-    for all specs before the first integral.
-    """
-    specs = list(specs)
-    for spec in specs:
-        if q is not None and spec.min_gap < q:
-            raise ValueError(f"spec {spec.indices} has gap below q={q}")
+def decay_check(f: BlaschkeProduct, specs) -> DecayCheck:
+    """Fit the smallest C with |I| <= C^k k! a^phi over specs; pass at C <= C_CAP."""
     a = abs(f.taylor_at_zero().c1)
     fitted = 0.0
     rows = []

@@ -153,7 +153,6 @@ def integrate(g, tol: float = 1e-12, degree: int = 0) -> QuadratureResult:
 
 # -- counter-based uniforms -------------------------------------------------
 
-_MASK64 = np.uint64(0xFFFFFFFFFFFFFFFF)
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
@@ -164,14 +163,15 @@ def counter_uniform(seed: int, count: int, start: int = 0) -> np.ndarray:
 
     Output i depends only on (seed, start + i), so any partition of the
     index range across workers reproduces the same stream bit-for-bit.
+    uint64 arithmetic wraps mod 2^64, as splitmix64 needs.
     """
     idx = np.arange(start, start + count, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        x = (np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + (idx + np.uint64(1)) * _GAMMA) & _MASK64
+        x = np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + (idx + np.uint64(1)) * _GAMMA
         x ^= x >> np.uint64(30)
-        x = (x * _MIX1) & _MASK64
+        x = x * _MIX1
         x ^= x >> np.uint64(27)
-        x = (x * _MIX2) & _MASK64
+        x = x * _MIX2
         x ^= x >> np.uint64(31)
     return (x >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
 

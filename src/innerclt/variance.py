@@ -18,6 +18,11 @@ from .blaschke import _accumulate
 from .errors import RegimeTooSmall, SandwichViolation
 from .quadrature import circle_grid, integrate
 
+EPSILON = 0.2  # split_plan's block and gap mass exponent
+ETA = 0.5  # sets split_plan's length exponents BETA and GAMMA
+BETA = (ETA - EPSILON) / (1.0 - EPSILON)
+GAMMA = (ETA + EPSILON) / (1.0 + EPSILON)
+
 
 @dataclass(frozen=True, eq=False)
 class CoefficientSequence:
@@ -116,7 +121,6 @@ class VarianceReport:
     N: int
     s2: float
     sigma2: float
-    lam: complex
     sandwich_c: float
 
     def __post_init__(self):
@@ -145,7 +149,7 @@ def toeplitz_sandwich(a: CoefficientSequence, lam: complex, N: int) -> VarianceR
     """Build a VarianceReport and verify the symbol extremes give 1/C, C."""
     c = (1.0 + abs(lam)) / (1.0 - abs(lam))
     report = VarianceReport(N=N, s2=a.s2(N), sigma2=sigma_N_squared(a, lam, N),
-                            lam=complex(lam), sandwich_c=c)
+                            sandwich_c=c)
     lo, hi = toeplitz_symbol_range(lam)
     if abs(lo - 1.0 / c) > 1e-9 or abs(hi - c) > 1e-9:
         raise SandwichViolation(
@@ -229,12 +233,8 @@ def quasiorthogonality(a: CoefficientSequence, n_list) -> ConditionTrajectory:
 @dataclass(frozen=True)
 class SplitPlan:
     N: int
-    epsilon: float
-    eta: float
     p_n: float
     q_n: float
-    beta: float
-    gamma: float
     xi_blocks: tuple   # (lo, hi) meaning indices lo+1 .. hi
     eta_gaps: tuple
     q_count: int
@@ -245,28 +245,23 @@ class SplitPlan:
     partial_ratio: float
 
 
-def split_plan(a: CoefficientSequence, N: int, epsilon: float = 0.2,
-               eta: float = 0.5, lam: complex = 0.0) -> SplitPlan:
+def split_plan(a: CoefficientSequence, N: int, lam: complex = 0.0) -> SplitPlan:
     """Greedy block/gap decomposition of {1..N} by accumulated mass.
 
-    Blocks absorb at least p_N = S_N^{1+eps} of squared-coefficient mass,
-    the gaps between them at least q_N = S_N^{1-eps}.  Construction stops
+    Blocks absorb at least p_N = S_N^{1+EPSILON} of squared-coefficient
+    mass, the gaps between them at least q_N = S_N^{1-EPSILON}.  Construction stops
     when the remaining indices cannot complete a block.  The mass and
     length bounds are reported, not assumed, since they only kick in for
     large N.  The partial ratio sums the variances of all blocks and gaps
     against sigma_N^2.
     """
-    if not 0.0 < epsilon < eta < 1.0:
-        raise ValueError("need 0 < epsilon < eta < 1")
     if not 1 <= N <= len(a):
         raise ValueError("need 1 <= N <= stored length")
     s_n = math.sqrt(a.s2(N))
     if s_n == 0.0:
         raise ValueError("need nonzero coefficient mass up to N")
-    p_n = s_n ** (1.0 + epsilon)
-    q_n = s_n ** (1.0 - epsilon)
-    beta = (eta - epsilon) / (1.0 - epsilon)
-    gamma = (eta + epsilon) / (1.0 + epsilon)
+    p_n = s_n ** (1.0 + EPSILON)
+    q_n = s_n ** (1.0 - EPSILON)
     mass = np.abs(a.array(N)) ** 2
 
     # blocks alternate with gaps, each the shortest stretch reaching its target;
@@ -287,14 +282,13 @@ def split_plan(a: CoefficientSequence, N: int, epsilon: float = 0.2,
     gap_masses = tuple(float(np.sum(mass[lo:hi])) for lo, hi in gaps)
     mass_ok = all(p_n <= m <= 2.0 * p_n for m in block_masses) \
         and all(q_n <= m <= 2.0 * q_n for m in gap_masses)
-    length_ok = all(hi - lo >= p_n ** gamma for lo, hi in blocks) \
-        and all(hi - lo >= q_n ** beta for lo, hi in gaps)
+    length_ok = all(hi - lo >= p_n ** GAMMA for lo, hi in blocks) \
+        and all(hi - lo >= q_n ** BETA for lo, hi in gaps)
 
     arr = a.array(N)
     covered = sum(_sigma2(arr[lo:hi], lam) for lo, hi in blocks + gaps)
     ratio = covered / sigma_N_squared(a, lam, N)
-    return SplitPlan(N=N, epsilon=epsilon, eta=eta, p_n=p_n, q_n=q_n,
-                     beta=beta, gamma=gamma, xi_blocks=tuple(blocks),
+    return SplitPlan(N=N, p_n=p_n, q_n=q_n, xi_blocks=tuple(blocks),
                      eta_gaps=tuple(gaps), q_count=len(blocks),
                      block_masses=block_masses, gap_masses=gap_masses,
                      mass_bounds_ok=mass_ok, length_bounds_ok=length_ok,

@@ -156,11 +156,12 @@ def test_criterion_6_higher_order_decay():
             continue
         signs = tuple(int(s) for s in rng.choice([-1, 1], size=k))
         specs.append(CorrelationSpec(signs, tuple(int(v) for v in indices)))
-    check = decay_check(DEG2_HALF, specs, q=2)
+    check = decay_check(DEG2_HALF, specs)
     for spec in specs:
         phi_exponent(spec)  # structural asserts fire internally
     report(6, "higher-order decay",
-           worst <= 1e-8 and check.passed and check.fitted_c <= 100.0,
+           worst <= 1e-8 and all(s.min_gap >= 2 for s in specs)
+           and check.passed and check.fitted_c <= 100.0,
            f"(alternating residual {worst:.2e}, fitted C {check.fitted_c:.2f})")
 
 
@@ -186,7 +187,7 @@ def test_criterion_8_split_plan():
     ratios = []
     ok = True
     for n in (100, 400, 1600):
-        plan = split_plan(ones, n, epsilon=0.2, eta=0.5)
+        plan = split_plan(ones, n)
         ok &= plan.mass_bounds_ok and plan.length_bounds_ok
         ratios.append(plan.partial_ratio)
     ok &= ratios == sorted(ratios) and ratios[-1] >= 0.9

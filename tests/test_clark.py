@@ -192,6 +192,23 @@ class TestClarkMeasureArray:
         mu = ClarkMeasure(CirclePoint(0.0), [[-5e-324, 0.25], [TWO_PI, 0.25], [7.0, 0.5]])
         assert mu.angles.tolist() == [0.0, 0.0, 7.0 % TWO_PI]
 
+    # each map has an atom a hair below angle 0, which % 2 pi alone rounds
+    # to 2 pi and so sorts last
+    WRAPS = [(BlaschkeProduct(zeros=(0.0,) * 3,
+                              rotation=complex(0.9999500004166653, 0.009999833334166664)),
+              0.009999999999999998),
+             (BlaschkeProduct(zeros=(0.0, 0.48352192825757545 + 0.12730492878940722j),
+                              rotation=complex(0.9946128276123087, 0.1036596505350456)),
+              2.762100412535126)]
+
+    @pytest.mark.parametrize("f,theta", WRAPS, ids=["z3-rotated", "deg2-half-angle"])
+    def test_atoms_at_the_wrap_are_canonical_and_ascending(self, f, theta):
+        solved, _ = BoundaryAtomSolver(f).atoms(theta)
+        for angles in (solved, clark_measure(f, CirclePoint(theta)).angles):
+            assert 0.0 in angles
+            assert np.all((angles >= 0.0) & (angles < TWO_PI))
+            assert np.all(np.diff(angles) > 0)
+
     def test_rejects_ragged_atoms(self):
         with pytest.raises(ValueError):
             ClarkMeasure(CirclePoint(0.0), [1.0, 0.5])

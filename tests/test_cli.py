@@ -210,6 +210,20 @@ class TestSimulateCommand:
         (None, {"map": {"zeros": [[0.5, 0.0]]}}, "at least one zero must be exactly 0"),
         (None, {"coefficients": {"kind": "surprise"}}, "unknown coefficient kind"),
         (None, {"N": "twelve"}, "invalid literal for int()"),
+        # values that int() or a tolerance would read as something they do not say
+        (None, {"N": 12.7}, "clt simulate: N must be an integer, got 12.7"),
+        (None, {"samples": 20000.7}, "clt simulate: samples must be an integer, got 20000.7"),
+        (None, {"seed": True}, "clt simulate: seed must be an integer, got true"),
+        (None, {"coefficients": {"kind": "ones", "length": 12.0}},
+         "clt simulate: length must be an integer, got 12.0"),
+        (None, {"coefficients": {"kind": "random_signs", "seed": 1.5}},
+         "clt simulate: seed must be an integer, got 1.5"),
+        (None, {"tolerances": {"ks": -1}},
+         "clt simulate: tolerance ks must be finite and >= 0, got -1.0"),
+        (None, {"tolerances": {"ks": float("nan")}},
+         "clt simulate: tolerance ks must be finite and >= 0, got nan"),
+        (None, {"tolerances": {"abs4": float("inf")}},
+         "clt simulate: tolerance abs4 must be finite and >= 0, got inf"),
         # values that simulate rejects before its first orbit step
         (None, {"mode": "bogus"}, "clt simulate: unknown mode 'bogus'"),
         (None, {"N": 30, "coefficients": {"kind": "ones", "length": 10}},

@@ -1,5 +1,6 @@
 """Source hygiene: every package and test module references each name it
-imports, and each public name a package module defines has a caller."""
+imports, each public name a package module defines has a caller, and each
+field of a package dataclass is read somewhere."""
 
 import ast
 import re
@@ -18,9 +19,6 @@ TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 UNCALLED_ALLOWED = {
     # the ratio that exact fourth moments of partial sums will replace
     "l4_ratio",
-    # the exact pair value that test_separated_pair_products_factor checks
-    # the quadrature of a separated product against
-    "iterate_pair_integral",
     # the chain-rule reference that tests/test_clark.py checks Clark weights against
     "iterate_derivative_on_circle",
 }
@@ -81,6 +79,43 @@ def test_every_public_name_has_a_caller():
     uncalled = [n for n in uncalled_names(sources, texts)
                 if n.split(".")[1] not in UNCALLED_ALLOWED]
     assert uncalled == []
+
+
+def unread_fields(sources: dict, readers=()) -> list:
+    """Annotated fields of the dataclasses in sources that no attribute read names.
+
+    sources maps a module name to its source.  A field counts as read when an
+    Attribute node that loads it appears in sources or in readers.
+    """
+    fields, read = [], set()
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ClassDef) and any(
+                    "dataclass" in ast.unparse(d) for d in node.decorator_list):
+                fields += [(f"{module}.{node.name}", s.target.id) for s in node.body
+                           if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)]
+    for source in [*sources.values(), *readers]:
+        read.update(n.attr for n in ast.walk(ast.parse(source))
+                    if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load))
+    return sorted(f"{owner}.{name}" for owner, name in fields if name not in read)
+
+
+def test_unread_field_detector():
+    sources = {
+        "a": "from dataclasses import dataclass\n\n@dataclass(frozen=True)\n"
+             "class Report:\n    value: float\n    unread: int\n    tested: str\n"
+             "    def show(self):\n        return self.value\n\n"
+             "@dataclass\nclass Written:\n    x: int\n\n"
+             "def fill(w: Written):\n    w.x = 1\n\n"
+             "class Plain:\n    y: int\n",
+    }
+    assert unread_fields(sources, ["def test(r):\n    assert r.tested\n"]) == [
+        "a.Report.unread", "a.Written.x"]
+
+
+def test_every_dataclass_field_is_read():
+    sources = {p.stem: p.read_text() for p in MODULES}
+    assert unread_fields(sources, [p.read_text() for p in BENCH + TESTS]) == []
 
 
 def test_detector_flags_only_unreferenced_names():

@@ -390,7 +390,3 @@ class TestSplitPlan:
     def test_zero_mass_rejected(self):
         with pytest.raises(ValueError):
             split_plan(CoefficientSequence.explicit([0.0, 0.0, 0.0]), 3)
-
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            split_plan(CoefficientSequence.ones(100), 100, epsilon=0.7, eta=0.5)
