@@ -17,7 +17,7 @@ from .correlations import (BlockSum, CorrelationSpec, PhiReport,
 from .quadrature import check_invariance, counter_uniform, integrate, uniform_angles
 from .variance import (CoefficientSequence, SplitPlan, VarianceReport,
                        asymptotic_sigma_squared, growth_condition,
-                       l2_identity_check, l4_ratio, quasiorthogonality,
+                       l2_identity_check, quasiorthogonality,
                        sigma_N_squared, split_plan, tail_sigma_squared,
                        toeplitz_sandwich)
 

@@ -8,8 +8,9 @@ branches of f.  Each level solves f(zeta) = beta on the circle in closed form
 (d-th roots for rot z^d, a half-angle form for degree 2) or, for any other
 map, as eigenvalues of companion matrices, which Newton steps polish.
 Since f(0) = 0 the moments are Taylor coefficients, int conj(zeta)^l d mu_alpha
-= sum_j conj(alpha)^j [z^l] (f^n)^j, and the moment checks read their
-coefficients straight from row l of `blaschke.taylor_table(f, n, l)`.
+= sum_j conj(alpha)^j [z^l] (f^n)^j: `_transfer` reads them from
+`blaschke.taylor_table(f, n, l)` for the moment checks and the exact
+correlation integrals alike.
 
 `clark_measure` keeps the last measure it solved in an `lru_cache` of size
 one, keyed by the exact float bits of f's zeros and rotation and of alpha,
@@ -222,13 +223,28 @@ def clark_measure(f: BlaschkeProduct, alpha: CirclePoint, power: int = 1) -> Cla
     return _solve(_measure_key(f, alpha, power), f, alpha, power)
 
 
-def _moment_residual(f: BlaschkeProduct, alpha: CirclePoint, power: int, ell: int) -> float:
-    """|int z^ell d mu_alpha - its Taylor-table value| for the measures of f^power.
+def _transfer(poly: dict, table: np.ndarray, p_next: int) -> dict:
+    """One level of Clark disintegration of the Laurent polynomial {s: c} in w.
 
-    int z^ell d mu_alpha = sum_k alpha^k conj(c_k), c_k = [z^ell] (f^power)^k.
+    table is `taylor_table(f, gap, K)`, C[s, j] = [z^s] phi^j for phi = f^gap,
+    with K >= every |s|.  w^s integrates over phi's Clark measure mu_alpha
+    to sum_{j<=s} alpha^j conj(C[s, j]) for s > 0, the conjugate for s < 0
+    and 1 for s = 0; the result, in alpha, is multiplied by alpha^p_next.
     """
-    row = taylor_table(f, power, ell)[ell, 1:].conj().tolist()
-    target = complex(sum(c * alpha.value ** k for k, c in enumerate(row, 1)))
+    rows, out = table.tolist(), {}
+    for s, c in poly.items():
+        if s == 0:
+            out[p_next] = out.get(p_next, 0) + c
+        for j in range(1, abs(s) + 1):
+            e, t = (p_next + j, rows[s][j].conjugate()) if s > 0 else (p_next - j, rows[-s][j])
+            out[e] = out.get(e, 0) + c * t
+    return out
+
+
+def _moment_residual(f: BlaschkeProduct, alpha: CirclePoint, power: int, ell: int) -> float:
+    """|int z^ell d mu_alpha - its Taylor-table value| for the measures of f^power."""
+    poly, z = _transfer({ell: 1}, taylor_table(f, power, ell), 0), alpha.value
+    target = complex(sum(c * z ** k for k, c in poly.items()))
     return abs(clark_measure(f, alpha, power).moment(ell) - target)
 
 

@@ -60,6 +60,8 @@ def coefficients_from_config(data: dict, default_length: int) -> CoefficientSequ
         return CoefficientSequence.ones(length)
     if kind == "explicit":
         values = [complex(re, im) for re, im in data["values"]]
+        if "length" in data and length != len(values):
+            raise ValueError(f"length {length} does not match the {len(values)} explicit values")
         return CoefficientSequence.explicit(values)
     if kind == "random_signs":
         return CoefficientSequence.random_signs(length, _config_int(data["seed"], "seed"))
@@ -143,7 +145,7 @@ def _suite_correlations():
                  fact.residual <= 1e-8 and abs(fact.lhs - 4.0) <= 1e-8,
                  f"lhs={fact.lhs:.6f}"))
     ff = four_factor(f, (1, -1, 1, -1), (1, 2, 3, 4))
-    rows.append(("four-factor-IV", ff.residual is not None and ff.residual <= 1e-8,
+    rows.append(("four-factor-IV", ff.residual <= 1e-8,
                  f"|value|={abs(ff.value):.6f}"))
     spec = CorrelationSpec((1, -1, 1, -1), (1, 3, 5, 7))
     val = higher_correlation(f, spec)

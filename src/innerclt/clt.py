@@ -46,6 +46,9 @@ class Tolerances:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Tolerances":
+        for k, v in data.items():  # float() would read true as 1.0
+            if isinstance(v, bool):
+                raise ValueError(f"tolerance {k} must be a number, got {str(v).lower()}")
         return cls(**{k: float(v) for k, v in data.items()})
 
     def to_dict(self) -> dict:

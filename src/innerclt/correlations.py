@@ -8,6 +8,7 @@ correlations, and the gap-weighted decay exponent with its delta bookkeeping.
 f(0) = 0 makes Lebesgue measure m f-invariant, so every integral is taken on
 shifted indices, int prod (f^{n_j})^{+-} dm = int prod (f^{n_j - n_1})^{+-} dm
 with f^0 = z: its grid and budget are set by the spread n_k - n_1, not n_k.
+Exact targets are closed forms or else `_exact_signed_integral`, with no grid.
 """
 
 from __future__ import annotations
@@ -17,9 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blaschke import BlaschkeProduct
+from .blaschke import BlaschkeProduct, taylor_table
+from .clark import _transfer
 from .errors import SeparationViolation, ShapeMismatch
 from .quadrature import integrate
+from .variance import _sigma2
 
 C_CAP = 100.0  # largest fitted decay constant that decay_check passes
 
@@ -110,8 +113,8 @@ class FourFactorResult:
     shape: str           # "I", "II", "III" or "IV"
     value: complex
     exponent: float      # decay exponent from the lemma (0 means plain constant)
-    target: float | None  # exact modulus when the shape admits one
-    residual: float | None
+    target: complex      # exact value, by Clark disintegration
+    residual: float      # |value - target|
 
 
 @dataclass(frozen=True)
@@ -152,27 +155,40 @@ def _signed_integral(f: BlaschkeProduct, signs, powers, tol: float) -> complex:
                      sum(f.degree ** n for n in powers)).value
 
 
+def _exact_signed_integral(f: BlaschkeProduct, signs, powers) -> complex:
+    """int prod (f^{n_j})^{+-} dm by Clark disintegration; powers nondecreasing.
+
+    On the circle the product is prod_l (f^{d_l})^{p_l}, p_l the signs summed
+    at each distinct d_l.  `_transfer` integrates the Laurent polynomial
+    carried so far over the Clark measures of f^{d_{l+1} - d_l}, at alpha =
+    f^{d_{l+1}}; the integral is the constant term after the last level.
+    """
+    p = {}
+    for s, n in zip(signs, powers):
+        p[n] = p.get(n, 0) + s
+    levels = list(p)
+    gaps = [b - a for a, b in zip(levels, levels[1:])]
+    # no exponent carried exceeds the factor count in modulus
+    tables = {g: taylor_table(f, g, len(signs)) for g in set(gaps)}
+    poly = {p[levels[0]]: 1.0 + 0j}
+    for gap, n in zip(gaps, levels[1:]):
+        poly = _transfer(poly, tables[gap], p[n])
+    return complex(poly.get(0, 0j))
+
+
 def pair_correlation(f: BlaschkeProduct, k: int, j: int) -> PairCorrelation:
     """Quadrature check of int conj(f^k) f^j dm = f'(0)^{j-k}."""
     if not 1 <= k < j:
         raise ValueError("need 1 <= k < j")
     value = _signed_integral(f, (-1, 1), (k, j), 1e-12)
-    target = iterate_pair_integral(f, j, k)
+    target = f.taylor_at_zero().c1 ** (j - k)
     return PairCorrelation(value, target, abs(value - target))
 
 
-def iterate_pair_integral(f: BlaschkeProduct, n: int, j: int) -> complex:
-    """Exact value of int f^n conj(f^j) dm from the pair identity."""
-    lam = f.taylor_at_zero().c1
-    if n == j:
-        return 1.0 + 0j
-    if n > j:
-        return lam ** (n - j)
-    return np.conj(lam) ** (j - n)
-
-
 def block_product_factorization(f: BlaschkeProduct, blocks) -> FactorizationResult:
-    """lhs = int prod |xi_k|^2 dm vs rhs = prod int |xi_k|^2 dm."""
+    """lhs = int prod |xi_k|^2 dm by quadrature vs rhs = prod int |xi_k|^2 dm,
+    each factor exact: the variance of its block's coefficients, laid out
+    densely with zeros at the indices the block skips."""
     blocks = list(blocks)
     if not blocks:
         raise ValueError("need at least one block")
@@ -181,29 +197,29 @@ def block_product_factorization(f: BlaschkeProduct, blocks) -> FactorizationResu
             raise SeparationViolation(
                 f"blocks {left.block} and {right.block} are not separated")
 
-    # prod |xi_k|^2 over a run of blocks, on indices shifted by the run's
-    # smallest one, base (its[n - base] is f^{n - base}): the lhs runs all
-    # blocks, each rhs factor one.  Each xi_k sums in its block's order.
-    def abs2_product(group, z):
-        base = min(group[0].block)
-        its = list(f._walk(z, max(group[-1].block) - base))
+    # prod |xi_k|^2 on indices shifted by the smallest one, base (its[n -
+    # base] is f^{n - base}).  Each xi_k sums in its block's order.
+    base = min(blocks[0].block)
+
+    def abs2_product(z):
+        its = list(f._walk(z, max(blocks[-1].block) - base))
         out = np.ones_like(z, dtype=float)
-        for b in group:
+        for b in blocks:
             xi = np.zeros_like(z)
             for n, c in zip(b.block, b.coefficients):
                 xi = xi + c * its[n - base]
             out = out * np.abs(xi) ** 2
         return out
 
-    d = f.degree
-    base = min(blocks[0].block)
-    degree = sum(d ** (n - base) for b in blocks for n in b.block) \
-        + sum(d ** (max(b.block) - base) for b in blocks)
-    lhs = integrate(lambda z: abs2_product(blocks, z), 1e-11, degree).value
+    degree = sum(f.degree ** (n - base) for b in blocks for n in b.block) \
+        + sum(f.degree ** (max(b.block) - base) for b in blocks)
+    lhs = integrate(abs2_product, 1e-11, degree).value
+    lam = f.taylor_at_zero().c1
     rhs = 1.0 + 0j
     for b in blocks:
-        spread = max(b.block) - min(b.block)
-        rhs *= integrate(lambda z, b=b: abs2_product([b], z), 1e-11, 2 * d ** spread).value
+        dense = np.zeros(max(b.block) - min(b.block) + 1, dtype=complex)
+        dense[np.array(b.block) - min(b.block)] = b.coefficients
+        rhs *= _sigma2(dense, lam)
     return FactorizationResult(lhs, rhs, abs(lhs - rhs))
 
 
@@ -222,14 +238,14 @@ def four_factor(f: BlaschkeProduct, signs, indices) -> FourFactorResult:
     if any(b < a for a, b in zip(indices, indices[1:])):
         raise ShapeMismatch("indices must be nondecreasing")
 
-    shape, exponent, target = _four_factor_shape(signs, indices, abs(f.taylor_at_zero().c1))
+    shape, exponent = _four_factor_shape(signs, indices)
     value = _signed_integral(f, signs, indices, 1e-11)
-    residual = None if target is None else abs(abs(value) - target)
-    return FourFactorResult(shape, value, exponent, target, residual)
+    target = _exact_signed_integral(f, signs, indices)
+    return FourFactorResult(shape, value, exponent, target, abs(value - target))
 
 
-def _four_factor_shape(signs, indices, a: float):
-    """(shape, exponent, target) of a four-factor pattern; a = |f'(0)|.
+def _four_factor_shape(signs, indices):
+    """(shape, exponent) of a four-factor pattern.
 
     Decided from signs and indices alone, so a pattern that matches no
     shape raises ShapeMismatch before anything is integrated.
@@ -238,20 +254,17 @@ def _four_factor_shape(signs, indices, a: float):
     if len(distinct) == 4:
         n1, n2, n3, n4 = indices
         if signs[0] == -signs[1] and signs[2] == signs[3]:
-            return "I", 0.0, 0.0
-        if signs[0] * signs[1] == -1 and signs[2] * signs[3] == -1:
-            return "IV", float(n2 - n1 + n4 - n3), a ** (n2 - n1 + n4 - n3)
-        exponent = float(n2 - n1 + n4 - n3) if n4 - n3 > 2 else float(n3 - n1)
-        return "IV", exponent, None
+            return "I", 0.0
+        if signs[0] != signs[1] or n4 - n3 > 2:  # opposite leading signs, or a wide last gap
+            return "IV", float(n2 - n1 + n4 - n3)
+        return "IV", float(n3 - n1)
 
     if len(distinct) == 3:
         n1, n2, n3 = distinct
         if indices[1] == indices[2] and signs[1] == signs[2]:
-            return "II", float(n3 - n1), None
+            return "II", float(n3 - n1)
         if indices[0] == indices[1] and signs[0] == signs[1]:
-            if n2 == n1 + 1 and n3 <= n2 + 2:
-                return "III", 0.0, None
-            return "III", float(n3 - n1), None
+            return "III", 0.0 if n2 == n1 + 1 and n3 <= n2 + 2 else float(n3 - n1)
 
     raise ShapeMismatch(f"pattern signs={signs} indices={indices} matches no shape")
 

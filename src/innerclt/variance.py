@@ -157,30 +157,15 @@ def toeplitz_sandwich(a: CoefficientSequence, lam: complex, N: int) -> VarianceR
     return report
 
 
-def _partial_sum_moment(f, a: CoefficientSequence, N: int, p: int) -> float:
-    """int |sum a_n f^{n-1}|^p dm, by f-invariance of m that of sum a_n f^n.
-
-    The integrand sums through `_accumulate`, the kernel clt samples with.
-    """
-    coeffs = a.array(N)
-    return integrate(lambda z: np.abs(_accumulate(f, coeffs, z, 0)) ** p,
-                     1e-11, 4 * f.degree ** (N - 1)).value.real
-
-
 def l2_identity_check(f, a: CoefficientSequence, N: int) -> float:
-    """Residual of quadrature ||sum a_n f^n||_2^2 against sigma_N_squared."""
-    quad = _partial_sum_moment(f, a, N, 2)
+    """Residual of quadrature ||sum a_n f^n||_2^2 against sigma_N_squared; by
+    f-invariance of m the quadrature sums a_n f^{n-1}, through `_accumulate`,
+    the kernel clt samples with."""
+    coeffs = a.array(N)
+    quad = integrate(lambda z: np.abs(_accumulate(f, coeffs, z, 0)) ** 2,
+                     1e-11, 4 * f.degree ** (N - 1)).value.real
     direct = sigma_N_squared(a, f.taylor_at_zero().c1, N)
     return abs(quad - direct)
-
-
-def l4_ratio(f, a: CoefficientSequence, N: int) -> float:
-    """||xi||_4 / ||xi||_2 for the partial sum, both norms by quadrature."""
-    m2 = _partial_sum_moment(f, a, N, 2)
-    m4 = _partial_sum_moment(f, a, N, 4)
-    if m2 <= 0:
-        raise ValueError("zero partial sum has no norm ratio")
-    return m4 ** 0.25 / m2 ** 0.5
 
 
 @dataclass(frozen=True)

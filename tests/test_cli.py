@@ -29,6 +29,12 @@ class TestCoefficientConfig:
             {"kind": "explicit", "values": [[1.0, 0.0], [0.0, 2.0]]}, 9)
         assert np.array_equal(a.values, (1.0 + 0j, 2.0j))
 
+    def test_explicit_length_must_match_the_values(self):
+        data = {"kind": "explicit", "values": [[1.0, 0.0], [2.0, 0.0]]}
+        assert len(coefficients_from_config(dict(data, length=2), 9)) == 2
+        with pytest.raises(ValueError, match="length 99 does not match the 2 explicit values"):
+            coefficients_from_config(dict(data, length=99), 9)
+
     def test_geometric(self):
         a = coefficients_from_config({"kind": "geometric", "ratio": 0.5,
                                       "length": 3}, 9)
@@ -224,6 +230,10 @@ class TestSimulateCommand:
          "clt simulate: tolerance ks must be finite and >= 0, got nan"),
         (None, {"tolerances": {"abs4": float("inf")}},
          "clt simulate: tolerance abs4 must be finite and >= 0, got inf"),
+        (None, {"tolerances": {"ks": True}}, "clt simulate: tolerance ks must be a number, got true"),
+        (None, {"N": 2, "coefficients": {"kind": "explicit", "values": [[1, 0], [2, 0]],
+                                         "length": 99}},
+         "clt simulate: length 99 does not match the 2 explicit values"),
         # values that simulate rejects before its first orbit step
         (None, {"mode": "bogus"}, "clt simulate: unknown mode 'bogus'"),
         (None, {"N": 30, "coefficients": {"kind": "ones", "length": 10}},

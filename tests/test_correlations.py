@@ -9,11 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from innerclt.blaschke import BlaschkeProduct, monomial
-from innerclt.correlations import (BlockSum, CorrelationSpec, _signed_integrand,
+from innerclt.correlations import (BlockSum, CorrelationSpec, _exact_signed_integral,
+                                   _signed_integral, _signed_integrand,
                                    block_product_factorization, decay_check,
                                    four_factor, higher_correlation,
-                                   iterate_pair_integral, pair_correlation,
-                                   phi_exponent)
+                                   pair_correlation, phi_exponent)
 from innerclt.errors import (BudgetExceeded, NonConvergence, SeparationViolation,
                              ShapeMismatch)
 from innerclt.quadrature import DEFAULT_MAX_GRID, circle_grid, integrate
@@ -21,6 +21,7 @@ from innerclt.quadrature import DEFAULT_MAX_GRID, circle_grid, integrate
 DEG2_HALF = BlaschkeProduct(zeros=(0.0, 0.5))
 DEG2_COMPLEX = BlaschkeProduct(zeros=(0.0, 0.3 + 0.3j))
 DEG3_MIXED = BlaschkeProduct(zeros=(0.0, 0.3 + 0.4j, -0.2j))
+DEG3_ROTATED = BlaschkeProduct(zeros=(0.0, 0.3 + 0.4j, -0.5j), rotation=np.exp(0.7j))
 PARITY_TOL = 1e-14
 
 
@@ -85,6 +86,46 @@ def criterion_4_blocks():
             start += size + int(rng.integers(0, 2))
         families.append(blocks)
     return families
+
+
+def canonical(factors):
+    """(signs, powers) of (sign, power) factors, sorted and shifted to start at 0."""
+    factors = sorted(factors, key=lambda sp: (sp[1], sp[0]))
+    return (tuple(s for s, _ in factors),
+            tuple(n - factors[0][1] for _, n in factors))
+
+
+def criterion_integrals():
+    """Every signed integral that acceptance criteria 2, 4, 5 and 6 evaluate.
+
+    Criterion 4's lhs is a sum of such integrals: a_n conj(a_m) f^n
+    conj(f^m) for each pair (n, m) of each block, multiplied across blocks.
+    """
+    out = {canonical([(-1, k), (1, j)]) for k in range(1, 6) for j in range(k + 1, 7)}
+    for blocks in criterion_4_blocks() + [[BlockSum.ones((1, 2)), BlockSum.ones((3, 4))]]:
+        pairs = [list(itertools.product(b.block, b.block)) for b in blocks]
+        for choice in itertools.product(*pairs):
+            out.add(canonical([f for n, m in choice for f in ((1, n), (-1, m))]))
+    rng = np.random.default_rng(55)
+    for _ in range(50):
+        n = np.sort(rng.choice(np.arange(1, 9), size=4, replace=False))
+        e1, e3 = int(rng.choice([-1, 1])), int(rng.choice([-1, 1]))
+        out.add(canonical(zip((e1, -e1, e3, e3), (int(v) for v in n))))
+    out.update(canonical(zip((1, -1, 1, -1), n))
+               for n in itertools.combinations(range(1, 11), 4))
+    out.update(canonical(zip(((-1) ** j for j in range(k)), range(1, 2 * k, 2)))
+               for k in range(2, 7))
+    rng = np.random.default_rng(66)
+    for _ in range(12):
+        k = int(rng.integers(2, 6))
+        indices = np.cumsum(np.concatenate([[1], rng.integers(2, 4, size=k - 1)]))
+        if indices[-1] > 11:
+            indices = np.maximum(indices - (indices[-1] - 11), 1)
+        if np.any(np.diff(indices) < 2):
+            continue  # before the signs are drawn, as in criterion 6
+        signs = tuple(int(s) for s in rng.choice([-1, 1], size=k))
+        out.add(canonical(zip(signs, (int(v) for v in indices))))
+    return sorted(out)
 
 
 class TestCorrelationSpec:
@@ -161,7 +202,10 @@ class TestFactorization:
                 its = f.boundary_iterates(z, max(p))
                 return its[p[0]] * np.conj(its[p[1]]) * its[p[2]] * np.conj(its[p[3]])
             lhs = integrate(g, tol=1e-11, degree=512).value
-            rhs = iterate_pair_integral(f, n1, j1) * iterate_pair_integral(f, n2, j2)
+            exact = _exact_signed_integral(f, (1, -1, 1, -1), (n1, j1, n2, j2))
+            rhs = (_exact_signed_integral(f, (1, -1), (n1, j1))
+                   * _exact_signed_integral(f, (1, -1), (n2, j2)))
+            assert abs(exact - rhs) <= 1e-16
             assert abs(lhs - rhs) < 1e-8
 
 
@@ -192,6 +236,16 @@ class TestFourFactor:
     def test_shape_four_hand_value(self):
         res = four_factor(DEG2_HALF, (1, -1, 1, -1), (1, 2, 3, 4))
         assert abs(abs(res.value) - 0.25) < 1e-9
+
+    @pytest.mark.parametrize("shape, signs, indices", [
+        ("I", (1, -1, 1, 1), (1, 2, 4, 5)), ("II", (1, 1, 1, -1), (1, 2, 2, 5)),
+        ("III", (1, 1, -1, 1), (1, 1, 2, 3)), ("III", (1, 1, -1, -1), (2, 2, 5, 6)),
+        ("IV", (1, -1, 1, -1), (1, 2, 3, 4)), ("IV", (1, 1, -1, -1), (1, 2, 3, 4))])
+    def test_every_shape_has_an_exact_target(self, shape, signs, indices):
+        res = four_factor(DEG2_HALF, signs, indices)
+        assert res.shape == shape
+        assert res.target == _exact_signed_integral(DEG2_HALF, signs, indices)
+        assert res.residual == abs(res.value - res.target) <= 1e-11
 
     def test_shape_two_bound(self):
         a = 0.5
@@ -337,6 +391,38 @@ class TestShiftReach:
         assert pair_correlation(DEG2_HALF, 30, 31).residual <= 1e-9
         with pytest.raises(BudgetExceeded):
             pair_correlation(DEG2_HALF, 2, 31)
+
+
+class TestExactKernel:
+    """`_exact_signed_integral` against quadrature, and past its reach."""
+
+    @pytest.mark.parametrize("f", [monomial(2), monomial(3), DEG2_HALF, DEG3_ROTATED],
+                             ids=["z2", "z3", "deg2-half", "deg3-rotated"])
+    def test_matches_quadrature_on_criterion_integrals(self, f):
+        compared = 0
+        for signs, powers in criterion_integrals():
+            try:
+                value = _signed_integral(f, signs, powers, 1e-11)
+            except (BudgetExceeded, NonConvergence):
+                # degree 3 at spreads 9 and 10 exceeds the budget; the rotated
+                # map does not converge by the grid cap at spreads 7 and 8
+                continue
+            exact = _exact_signed_integral(f, signs, powers)
+            assert abs(value - exact) <= 1e-14, (signs, powers)
+            compared += 1
+        assert compared >= 190
+
+    def test_values_past_the_quadrature_budget(self):
+        with pytest.raises(BudgetExceeded):
+            _signed_integral(DEG2_HALF, (-1, 1), (1000, 1030), 1e-12)
+        assert _exact_signed_integral(DEG2_HALF, (-1, 1), (1000, 1030)) == 0.5 ** 30
+        # a grid for this one would need 2^270 points
+        assert _exact_signed_integral(DEG2_HALF, (1, -1, 1, -1), (40, 45, 300, 310)) == 2.0 ** -15
+
+    def test_factors_at_one_index_combine(self):
+        # |f^2|^2 = 1 on the circle, so (f^2)^2 conj(f^2)^2 f^5 conj(f^3) is f^5 conj(f^3)
+        assert _exact_signed_integral(DEG2_HALF, (1, 1, -1, -1, -1, 1), (2, 2, 2, 2, 3, 5)) \
+            == _exact_signed_integral(DEG2_HALF, (-1, 1), (3, 5)) == 0.25
 
 
 @pytest.mark.parametrize("f", [DEG2_HALF, DEG3_MIXED], ids=["deg2-half", "deg3-mixed"])

@@ -17,8 +17,6 @@ BENCH = sorted((PACKAGE.parents[1] / "perfbench").glob("*.py"))
 TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 # public names that stay with no caller, each for a stated reason
 UNCALLED_ALLOWED = {
-    # the ratio that exact fourth moments of partial sums will replace
-    "l4_ratio",
     # the chain-rule reference that tests/test_clark.py checks Clark weights against
     "iterate_derivative_on_circle",
 }
