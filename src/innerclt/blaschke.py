@@ -15,6 +15,7 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -25,6 +26,7 @@ ROTATION_TOL = 1e-14
 POLE_GUARD = 1e-12
 RADIUS_SLACK = 1e-9
 ITERATION_CAP = 64
+TABLE_MEMO_SIZE = 16  # base Taylor tables kept, one per (map, order); Clark checks use six
 
 
 @dataclass(frozen=True)
@@ -95,6 +97,8 @@ class BlaschkeProduct:
         with np.errstate(over="ignore", invalid="ignore"):
             poles = 1.0 / np.conj(np.array(nonzero, dtype=complex))
         object.__setattr__(self, "_poles", poles[np.isfinite(poles)])
+        # the exact bits of zeros and rotation: equality takes 0.5+0j and 0.5-0j as one
+        object.__setattr__(self, "_bits", np.array(zeros + (rotation,)).tobytes())
 
     @property
     def degree(self) -> int:
@@ -254,9 +258,16 @@ class BlaschkeProduct:
 
     @classmethod
     def from_dict(cls, data: dict) -> "BlaschkeProduct":
-        zeros = tuple(complex(re, im) for re, im in data["zeros"])
-        rot = data.get("rotation", [1.0, 0.0])
-        return cls(zeros=zeros, rotation=complex(rot[0], rot[1]))
+        zeros = tuple(_complex_pair(pair, "zero") for pair in data["zeros"])
+        rotation = _complex_pair(data.get("rotation", [1.0, 0.0]), "rotation")
+        return cls(zeros=zeros, rotation=rotation)
+
+
+def _complex_pair(pair, name: str) -> complex:
+    re, im = pair  # a JSON [re, im]; complex() would read true as 1
+    if isinstance(re, bool) or isinstance(im, bool):
+        raise ValueError(f"{name} must be a pair of numbers, got {str(pair).lower()}")
+    return complex(re, im)
 
 
 def _accumulate(f: BlaschkeProduct, coeffs: np.ndarray, z: np.ndarray,
@@ -280,20 +291,28 @@ def monomial(power: int) -> BlaschkeProduct:
 def taylor_table(f: BlaschkeProduct, power: int, order: int) -> np.ndarray:
     """The (order+1)^2 matrix C[k, j] = [z^k] (f^power)^j.
 
-    Column j of the table of f is the j-th power of f's series, truncated
-    after z^order.  The table of f o g is C_g @ C_f, so the table of f^power
-    is the power-th matrix power of the table of f.
+    Column j of the table of f, built once per (f's bits, order), is the
+    j-th power of f's series, truncated after z^order.  The table of f o g
+    is C_g @ C_f, so the table of f^power is its power-th matrix power.
     """
     if power < 0:
         raise ValueError("power must be non-negative")
     if order < 0:
         raise ValueError("order must be non-negative")
+    table = np.linalg.matrix_power(_base_table(f._bits, f, order), power)
+    return table.copy() if power == 1 else table  # never the memo: matrix_power(a, 1) is a
+
+
+@lru_cache(maxsize=TABLE_MEMO_SIZE)
+def _base_table(bits, f: BlaschkeProduct, order: int) -> np.ndarray:
+    """The read-only table of f; bits, f's `_bits`, tells apart signed zeros."""
     series = np.array(f._series(order))
     table = np.zeros((order + 1, order + 1), dtype=complex)
     table[0, 0] = 1.0
     for j in range(1, order + 1):
         table[:, j] = np.convolve(table[:, j - 1], series)[:order + 1]
-    return np.linalg.matrix_power(table, power)
+    table.flags.writeable = False
+    return table
 
 
 def iterate_derivative_on_circle(f: BlaschkeProduct, z, n: int):

@@ -13,11 +13,11 @@ Since f(0) = 0 the moments are Taylor coefficients, int conj(zeta)^l d mu_alpha
 correlation integrals alike.
 
 `clark_measure` keeps the last measure it solved in an `lru_cache` of size
-one, keyed by the exact float bits of f's zeros and rotation and of alpha,
-and by the power.  The moment checks take their measure from
-`clark_measure`, so a measure followed by its first and second moments
-solves the atoms once.  The cache holds one triple only, so a different
-(f, alpha, power) always solves afresh, and a failed solve leaves it as it was.
+one, keyed by the map's stored bits `BlaschkeProduct._bits`, alpha's angle
+and the power.  The moment checks take their measure from `clark_measure`,
+so a measure followed by its first and second moments solves the atoms
+once.  The cache holds one triple only, so a different (f, alpha, power)
+always solves afresh, and a failed solve leaves it as it was.
 """
 
 from __future__ import annotations
@@ -194,13 +194,12 @@ class BoundaryAtomSolver:
 
 
 def _measure_key(f: BlaschkeProduct, alpha: CirclePoint, power) -> tuple:
-    """The exact float bits of f and alpha, and power: equal keys solve alike.
+    """f's exact bits, alpha's angle and power: equal keys solve alike.
 
     BlaschkeProduct equality is not enough, since it takes 0.5+0j and 0.5-0j
-    for the same zero.
+    for the same zero; alpha.theta lies in [0, 2 pi), never -0.0.
     """
-    bits = np.array(f.zeros + (f.rotation, alpha.theta), dtype=complex).tobytes()
-    return bits, power
+    return f._bits, alpha.theta, power
 
 
 @lru_cache(maxsize=1)

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _csvrows
-from .blaschke import BlaschkeProduct, CirclePoint, monomial
+from .blaschke import BlaschkeProduct, CirclePoint, _complex_pair, monomial
 from .clark import check_first_moment, check_second_moment, clark_measure, desintegrate
 from .clt import Tolerances, gauss_report, require_ks_samples, simulate
 from .correlations import (BlockSum, CorrelationSpec, block_product_factorization,
@@ -59,7 +59,7 @@ def coefficients_from_config(data: dict, default_length: int) -> CoefficientSequ
     if kind == "ones":
         return CoefficientSequence.ones(length)
     if kind == "explicit":
-        values = [complex(re, im) for re, im in data["values"]]
+        values = [_complex_pair(pair, "explicit value") for pair in data["values"]]
         if "length" in data and length != len(values):
             raise ValueError(f"length {length} does not match the {len(values)} explicit values")
         return CoefficientSequence.explicit(values)
@@ -223,7 +223,10 @@ def run_verify(args) -> int:
 
 def run_simulate(args) -> int:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file stands at out or above it
+        raise argparse.ArgumentError(None, _input_error("clt simulate --out", exc)) from exc
     # Outputs of an earlier run in `out` must not pass for this run's:
     # tail runs write no samples.csv, and a failed run writes no report.json.
     for name in ("samples.csv", "report.json"):
@@ -236,6 +239,9 @@ def run_simulate(args) -> int:
         m = _config_int(config["samples"], "samples")
         seed = _config_int(config["seed"], "seed")
         mode = config.get("mode", "main")
+        for key in ("coefficients", "tolerances"):  # .get, .items would raise AttributeError
+            if not isinstance(config.get(key, {}), dict):
+                raise ValueError(f"{key} must be an object, got {json.dumps(config[key])}")
         a = coefficients_from_config(config.get("coefficients", {}),
                                      default_length=n if mode != "tail" else 4 * n)
         tol = Tolerances.from_dict(config.get("tolerances", {}))

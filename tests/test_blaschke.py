@@ -9,10 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from innerclt import clt
+from innerclt import blaschke, clt
 from innerclt.blaschke import (BlaschkeProduct, CirclePoint, iterate_derivative_on_circle,
                                monomial, taylor_table)
-from innerclt.clark import clark_measure
+from innerclt.clark import _measure_key, clark_measure
 from innerclt.correlations import (BlockSum, CorrelationSpec, block_product_factorization,
                                    four_factor, higher_correlation, pair_correlation)
 from innerclt.quadrature import check_invariance, circle_grid, uniform_angles
@@ -21,6 +21,7 @@ from innerclt.variance import CoefficientSequence, l2_identity_check
 DEG2_HALF = BlaschkeProduct(zeros=(0.0, 0.5))
 DEG3_MIXED = BlaschkeProduct(zeros=(0.0, 0.3 + 0.4j, -0.2j),
                              rotation=cmath.exp(0.7j))
+DEG3_ROTATED = BlaschkeProduct(zeros=(0.0, 0.3 + 0.4j, -0.5j), rotation=cmath.exp(0.7j))
 
 
 def iterate(f, n, z):
@@ -186,6 +187,66 @@ class TestTaylorTable:
             taylor_table(DEG2_HALF, -1, 2)
         with pytest.raises(ValueError):
             taylor_table(DEG2_HALF, 2, -1)
+
+
+def reference_table(f, power, order):
+    """`taylor_table` built afresh on every call, with no memo."""
+    series = np.array(f._series(order))
+    table = np.zeros((order + 1, order + 1), dtype=complex)
+    table[0, 0] = 1.0
+    for j in range(1, order + 1):
+        table[:, j] = np.convolve(table[:, j - 1], series)[:order + 1]
+    return np.linalg.matrix_power(table, power)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestTaylorTableMemo:
+    """Each map's base table is built once per order; its powers keep their bits."""
+
+    @pytest.mark.parametrize("f", [monomial(2), monomial(3), DEG2_HALF, DEG3_ROTATED])
+    def test_bits_match_a_fresh_build(self, f):
+        for order in range(7):
+            for power in range(13):
+                want = reference_table(f, power, order)
+                assert same_bits(taylor_table(f, power, order), want), (power, order)
+                assert same_bits(taylor_table(f, power, order), want), (power, order)
+
+    @given(blaschke_products(), st.integers(0, 12), st.integers(0, 6))
+    @settings(max_examples=80, deadline=None)
+    def test_bits_match_a_fresh_build_on_random_products(self, f, power, order):
+        want = reference_table(f, power, order)
+        assert same_bits(taylor_table(f, power, order), want)
+        assert same_bits(taylor_table(f, power, order), want)
+
+    def test_signed_zeros_keep_separate_entries(self):
+        plus = BlaschkeProduct(zeros=(0.0, complex(0.5, 0.0)))
+        minus = BlaschkeProduct(zeros=(0.0, complex(0.5, -0.0)))
+        assert plus == minus and plus._bits != minus._bits
+        alpha = CirclePoint(1.0)
+        assert _measure_key(plus, alpha, 2) != _measure_key(minus, alpha, 2)
+        blaschke._base_table.cache_clear()
+        for f in (plus, minus):
+            assert same_bits(taylor_table(f, 3, 4), reference_table(f, 3, 4))
+        assert blaschke._base_table.cache_info().misses == 2
+        assert blaschke._base_table.cache_info().currsize == 2
+
+    @pytest.mark.parametrize("power", [0, 1, 2])
+    def test_returned_tables_do_not_alias_the_memo(self, power):
+        want = reference_table(DEG2_HALF, power, 3)
+        table = taylor_table(DEG2_HALF, power, 3)
+        table[...] = 7.0
+        assert same_bits(taylor_table(DEG2_HALF, power, 3), want)
+        assert same_bits(taylor_table(DEG2_HALF, 1, 3), reference_table(DEG2_HALF, 1, 3))
+
+    def test_four_factor_builds_one_table(self):
+        blaschke._base_table.cache_clear()
+        # gaps 1, 2 and 3 between the factors: three powers of one base table
+        four_factor(DEG2_HALF, (1, -1, 1, -1), (1, 2, 4, 7))
+        info = blaschke._base_table.cache_info()
+        assert info.misses == 1 and info.hits == 2
 
 
 class TestBoundaryDynamics:

@@ -234,6 +234,18 @@ class TestSimulateCommand:
         (None, {"N": 2, "coefficients": {"kind": "explicit", "values": [[1, 0], [2, 0]],
                                          "length": 99}},
          "clt simulate: length 99 does not match the 2 explicit values"),
+        # sections that are not objects, and booleans where numbers belong
+        (None, {"tolerances": [1, 2]}, "clt simulate: tolerances must be an object, got [1, 2]"),
+        (None, {"tolerances": None}, "clt simulate: tolerances must be an object, got null"),
+        (None, {"coefficients": "ones"},
+         'clt simulate: coefficients must be an object, got "ones"'),
+        (None, {"coefficients": None}, "clt simulate: coefficients must be an object, got null"),
+        (None, {"map": {"zeros": [[False, False], [False, False]]}},
+         "clt simulate: zero must be a pair of numbers, got [false, false]"),
+        (None, {"map": {"zeros": [[0.0, 0.0], [0.0, 0.0]], "rotation": [True, False]}},
+         "clt simulate: rotation must be a pair of numbers, got [true, false]"),
+        (None, {"N": 1, "coefficients": {"kind": "explicit", "values": [[True, False]]}},
+         "clt simulate: explicit value must be a pair of numbers, got [true, false]"),
         # values that simulate rejects before its first orbit step
         (None, {"mode": "bogus"}, "clt simulate: unknown mode 'bogus'"),
         (None, {"N": 30, "coefficients": {"kind": "ones", "length": 10}},
@@ -265,6 +277,20 @@ class TestSimulateCommand:
         # the earlier run's outputs do not pass for this one's
         assert not (out_dir / "report.json").exists()
         assert not (out_dir / "samples.csv").exists()
+
+    def test_out_naming_a_file_is_a_usage_error(self, tmp_path, capsys, stepped):
+        out_file = tmp_path / "out"
+        out_file.write_text("not a directory")
+        with pytest.raises(SystemExit) as exc:
+            main(["clt", "simulate", "--config", str(self._write_config(tmp_path)),
+                  "--out", str(out_file)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        last = captured.err.splitlines()[-1]
+        assert last.startswith("innerclt: error: clt simulate --out: ") and "File exists" in last
+        assert stepped == []
+        assert out_file.read_text() == "not a directory"
 
     def test_missing_config_is_a_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -432,7 +458,12 @@ class TestClarkDump:
         ("{not json", "Expecting property name"),
         (json.dumps({"zeros": [[0.5, 0.0]]}), "at least one zero must be exactly 0"),
         (json.dumps({"rotation": [1.0, 0.0]}), "clark dump: missing key 'zeros'"),
-        (json.dumps({"zeros": 5}), "not iterable")])
+        (json.dumps({"zeros": 5}), "not iterable"),
+        # complex() would read these booleans as 0 and 1
+        (json.dumps({"zeros": [[False, False], [False, False]]}),
+         "clark dump: zero must be a pair of numbers, got [false, false]"),
+        (json.dumps({"zeros": [[0.0, 0.0], [0.5, 0.0]], "rotation": [True, False]}),
+         "clark dump: rotation must be a pair of numbers, got [true, false]")])
     def test_bad_map_files_are_usage_errors(self, tmp_path, capsys, text, message):
         map_path = tmp_path / "map.json"
         if text is not None:
