@@ -19,7 +19,7 @@ import numpy as np
 from . import _csvrows
 from .blaschke import BlaschkeProduct, CirclePoint, _complex_pair, monomial
 from .clark import check_first_moment, check_second_moment, clark_measure, desintegrate
-from .clt import Tolerances, gauss_report, require_ks_samples, simulate
+from .clt import Tolerances, _sampling_plan, gauss_report, require_ks_samples, simulate
 from .correlations import (BlockSum, CorrelationSpec, block_product_factorization,
                            decay_check, four_factor, higher_correlation,
                            pair_correlation, phi_exponent)
@@ -223,14 +223,11 @@ def run_verify(args) -> int:
 
 def run_simulate(args) -> int:
     out = Path(args.out)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:  # a file stands at out or above it
-        raise argparse.ArgumentError(None, _input_error("clt simulate --out", exc)) from exc
     # Outputs of an earlier run in `out` must not pass for this run's:
     # tail runs write no samples.csv, and a failed run writes no report.json.
-    for name in ("samples.csv", "report.json"):
-        (out / name).unlink(missing_ok=True)
+    if out.is_dir():
+        for name in ("samples.csv", "report.json"):
+            (out / name).unlink(missing_ok=True)
     try:
         with open(args.config) as fh:
             config = json.load(fh)
@@ -247,14 +244,15 @@ def run_simulate(args) -> int:
         tol = Tolerances.from_dict(config.get("tolerances", {}))
         # simulate accepts M >= 1000, but the report needs more
         require_ks_samples(m)
+        _sampling_plan(f, a, n, m, mode)  # simulate's checks, before out exists
     except INPUT_ERRORS as exc:
         # `main` turns this into a usage error
         raise argparse.ArgumentError(None, _input_error("clt simulate", exc)) from exc
     try:
-        # every check in simulate raises before its first orbit step
-        samples = simulate(f, a, n, m, seed, mode=mode)
-    except ValueError as exc:
-        raise argparse.ArgumentError(None, _input_error("clt simulate", exc)) from exc
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file stands at out or above it
+        raise argparse.ArgumentError(None, _input_error("clt simulate --out", exc)) from exc
+    samples = simulate(f, a, n, m, seed, mode=mode)
     report = gauss_report(samples, tol)
     if mode != "tail":
         _write_samples_csv(out / "samples.csv", samples)

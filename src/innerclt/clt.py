@@ -133,6 +133,14 @@ def simulate(f: BlaschkeProduct, a: CoefficientSequence, N: int, M: int,
     storage must stay below TRUNCATION_TOL times the stored tail mass.
     Every check raises before the first orbit step.
     """
+    coeffs, scale, start_power = _sampling_plan(f, a, N, M, mode)
+    return _sample(f, coeffs, M, seed, scale, start_power)
+
+
+def _sampling_plan(f: BlaschkeProduct, a: CoefficientSequence, N: int, M: int,
+                   mode: str) -> tuple:
+    """(coefficients, scale, start power) of a `simulate` run: every check
+    that simulate makes, and no orbit step."""
     if M < 1000:
         raise ValueError("need M >= 1000")
     lam = f.taylor_at_zero().c1
@@ -148,8 +156,7 @@ def simulate(f: BlaschkeProduct, a: CoefficientSequence, N: int, M: int,
             raise HeavyTruncation(
                 f"estimated truncated mass {est:.3e} exceeds "
                 f"{TRUNCATION_TOL:g} * tail mass {tail_mass:.3e}")
-        scale = math.sqrt(2.0 * tail_sigma_squared(a, lam, N))
-        return _sample(f, a.array()[N - 1:], M, seed, scale, start_power=N)
+        return a.array()[N - 1:], math.sqrt(2.0 * tail_sigma_squared(a, lam, N)), N
     if not 1 <= N <= len(a):
         raise ValueError("need 1 <= N <= stored coefficient length")
     sigma2 = sigma_N_squared(a, lam, N)
@@ -161,7 +168,7 @@ def simulate(f: BlaschkeProduct, a: CoefficientSequence, N: int, M: int,
         scale = math.sqrt(2.0 * N * asymptotic_sigma_squared(lam))
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    return _sample(f, a.array(N), M, seed, scale)
+    return a.array(N), scale, 1
 
 
 def _ks_normal(x: np.ndarray, sd: float) -> float:

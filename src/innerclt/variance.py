@@ -5,23 +5,34 @@ variance sigma_N^2 with its cross terms, tail and asymptotic variants, the
 Toeplitz sandwich bounding sigma_N^2 by S_N^2, hypothesis checkers for the
 growth and quasiorthogonality conditions, and the greedy block/gap
 splitting used to decouple the sum.
+
+`sigma_N_squared` keeps its last value in an `lru_cache` of size one, keyed
+by the sequence itself (a frozen, read-only object that compares by
+identity), N and the exact bits of lambda.  `toeplitz_sandwich` and
+`split_plan` take their sigma_N^2 from `sigma_N_squared`, so a sigma_N^2
+followed by its sandwich and its split runs the O(N) kernel once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import repeat
 
 import numpy as np
 
 from .blaschke import _accumulate
 from .errors import RegimeTooSmall, SandwichViolation
-from .quadrature import circle_grid, integrate
+from .quadrature import _grid, integrate
 
 EPSILON = 0.2  # split_plan's block and gap mass exponent
 ETA = 0.5  # sets split_plan's length exponents BETA and GAMMA
 BETA = (ETA - EPSILON) / (1.0 - EPSILON)
 GAMMA = (ETA + EPSILON) / (1.0 + EPSILON)
+# CPython raises a complex to an integer power k by repeated squaring for
+# |k| <= 100, and beyond that by the polar form pow(|z|, k) (cos, sin)(arg(z) k).
+POWI_MAX = 100
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,7 +50,9 @@ class CoefficientSequence:
         if not np.all(np.isfinite(values)):
             raise ValueError("coefficients must be finite")
         values.flags.writeable = False
-        object.__setattr__(self, "values", values)
+        # a view of a read-only array cannot be made writeable again, so the
+        # sigma_N^2 memo, which keys on this object, cannot go stale
+        object.__setattr__(self, "values", values.view())
 
     def __len__(self) -> int:
         return len(self.values)
@@ -66,10 +79,30 @@ class CoefficientSequence:
 
     @classmethod
     def geometric(cls, r: float, n: int) -> "CoefficientSequence":
+        """r, r^2, ..., r^n with the bits of the Python powers complex(r) ** k.
+
+        Past POWI_MAX the polar form is taken term by term from `math`, the
+        libm that complex ** k calls: np.power's last bits differ.  For
+        r > 0 the angle is 0, so a term is (pow(r, k), +0.0).
+        """
         if not 0.0 < abs(r) < 1.0:
             raise ValueError("ratio must satisfy 0 < |r| < 1")
-        # Python complex powers, not np.power, whose last bits differ
-        return cls([complex(r) ** k for k in range(1, n + 1)])
+        z = complex(r)
+        head = min(n, POWI_MAX)
+        values = np.zeros(max(n, 0), dtype=complex)
+        values[:head] = [z ** k for k in range(1, head + 1)]
+        if n > head:
+            k = np.arange(head + 1, n + 1, dtype=float)
+            length = np.array(list(map(math.pow, repeat(abs(z)), k.tolist())))
+            angle = math.atan2(z.imag, z.real)
+            if angle == 0.0:  # cos(+-0) = 1 and sin(+-0) = +-0
+                values.real[head:] = length
+                values.imag[head:] = math.copysign(0.0, angle)
+            else:  # angle * k is the double product that complex ** k takes
+                phase = (angle * k).tolist()
+                values.real[head:] = length * np.array(list(map(math.cos, phase)))
+                values.imag[head:] = length * np.array(list(map(math.sin, phase)))
+        return cls(values)
 
 
 def _cross_sum(arr: np.ndarray, lam: complex) -> complex:
@@ -91,19 +124,33 @@ def _sigma2(arr: np.ndarray, lam: complex) -> float:
     return float(np.sum(np.abs(arr) ** 2)) + 2.0 * _cross_sum(arr, lam).real
 
 
-def sigma_N_squared(a: CoefficientSequence, lam: complex, N: int) -> float:
-    """sigma_N^2 = S_N^2 + 2 Re sum_k lam^k sum_n conj(a_n) a_{n+k}."""
-    if abs(lam) >= 1.0:
+def _check_lambda(lam: complex):
+    if not abs(lam) < 1.0:  # also a NaN in either part
         raise ValueError("need |lambda| < 1")
+
+
+def sigma_N_squared(a: CoefficientSequence, lam: complex, N: int) -> float:
+    """sigma_N^2 = S_N^2 + 2 Re sum_k lam^k sum_n conj(a_n) a_{n+k}.
+
+    The same (a, lambda, N) twice in a row computes once.
+    """
+    _check_lambda(lam)
     if not 1 <= N <= len(a):
         raise ValueError("need 1 <= N <= stored length")
+    lam = complex(lam)
+    return _memo_sigma2(np.complex128(lam).tobytes(), a, lam, N)
+
+
+@lru_cache(maxsize=1)
+def _memo_sigma2(key, a: CoefficientSequence, lam: complex, N: int) -> float:
+    """sigma_N^2 of (a, lam, N); key, lam's bits, tells apart signed zeros,
+    which complex equality takes as one."""
     return _sigma2(a.array(N), lam)
 
 
 def tail_sigma_squared(a: CoefficientSequence, lam: complex, N: int) -> float:
     """Variance of the stored tail sum_{n>=N} a_n f^n."""
-    if abs(lam) >= 1.0:
-        raise ValueError("need |lambda| < 1")
+    _check_lambda(lam)
     if not 1 <= N <= len(a):
         raise ValueError("need 1 <= N <= stored length")
     return _sigma2(a.array()[N - 1:], lam)
@@ -111,8 +158,7 @@ def tail_sigma_squared(a: CoefficientSequence, lam: complex, N: int) -> float:
 
 def asymptotic_sigma_squared(lam: complex) -> float:
     """sigma^2 = Re (1 + lambda) / (1 - lambda); equals 1 at lambda = 0."""
-    if abs(lam) >= 1.0:
-        raise ValueError("need |lambda| < 1")
+    _check_lambda(lam)
     return ((1.0 + lam) / (1.0 - lam)).real
 
 
@@ -140,7 +186,7 @@ def toeplitz_symbol_range(lam: complex):
     if lam == 0:
         return 1.0, 1.0
     phase = lam / abs(lam)
-    z = phase * circle_grid(2 ** 12)
+    z = phase * _grid(2 ** 12)
     s = (1.0 - abs(lam) ** 2) / np.abs(1.0 - np.conj(lam) * z) ** 2
     return float(np.min(s)), float(np.max(s))
 
@@ -240,6 +286,7 @@ def split_plan(a: CoefficientSequence, N: int, lam: complex = 0.0) -> SplitPlan:
     large N.  The partial ratio sums the variances of all blocks and gaps
     against sigma_N^2.
     """
+    _check_lambda(lam)
     if not 1 <= N <= len(a):
         raise ValueError("need 1 <= N <= stored length")
     s_n = math.sqrt(a.s2(N))

@@ -292,12 +292,26 @@ class TestSimulateCommand:
         assert stepped == []
         assert out_file.read_text() == "not a directory"
 
+    @pytest.mark.parametrize("overrides", [
+        {"tolerances": [1, 2]},       # a malformed config
+        {"mode": "bogus"},            # a value that simulate rejects
+        {"samples": 2000},            # too few samples for the report
+    ])
+    def test_usage_error_creates_no_directory(self, tmp_path, capsys, overrides):
+        out_dir = tmp_path / "o1" / "deep" / "x"
+        with pytest.raises(SystemExit) as exc:
+            main(["clt", "simulate", "--config", str(self._write_config(tmp_path, **overrides)),
+                  "--out", str(out_dir)])
+        assert exc.value.code == 2
+        assert not (tmp_path / "o1").exists()
+
     def test_missing_config_is_a_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["clt", "simulate", "--config", str(tmp_path / "none.json"),
                   "--out", str(tmp_path / "out")])
         assert exc.value.code == 2
         assert "No such file or directory" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_failed_formatter_leaves_no_outputs(self, tmp_path, monkeypatch):
         cfg = self._write_config(tmp_path)

@@ -1,5 +1,7 @@
 """Variance formulas, sandwich bounds, hypothesis checks and the greedy split."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -92,10 +94,21 @@ class TestCoefficientSequence:
             a.values[0] = 5.0
         with pytest.raises(ValueError):
             a.array(2)[1] = 5.0
+        with pytest.raises(ValueError):
+            a.values.flags.writeable = True
 
     def test_rejects_2d(self):
         with pytest.raises(ValueError):
             CoefficientSequence.explicit(np.ones((2, 3)))
+
+    # n = 100 is the last term CPython squares for, 101 the first in polar form;
+    # 0.3+0.4j and 0.5-0j take the polar form at a nonzero and a -0.0 angle
+    @pytest.mark.parametrize("n", [1, 99, 100, 101, 3000])
+    @pytest.mark.parametrize("r", [0.5, 0.55, 0.93, 1e-3, -0.6, -0.95,
+                                   0.3 + 0.4j, complex(0.5, -0.0)])
+    def test_geometric_has_the_bits_of_python_powers(self, r, n):
+        powers = np.array([complex(r) ** k for k in range(1, n + 1)], dtype=complex)
+        assert CoefficientSequence.geometric(r, n).values.tobytes() == powers.tobytes()
 
 
 class TestAgainstDoubleSum:
@@ -171,6 +184,95 @@ class TestSigmaN:
     def test_positive_for_alternating_negative_lambda(self):
         a = CoefficientSequence.explicit([(-1) ** n for n in range(50)])
         assert sigma_N_squared(a, -0.9, 50) > 0
+
+
+class TestSigmaMemo:
+    """sigma_N_squared computes a repeated (sequence, lambda bits, N) once."""
+
+    @pytest.fixture
+    def a(self):
+        variance._memo_sigma2.cache_clear()
+        return CoefficientSequence.explicit(random_complex(300, 5))
+
+    def test_hit_returns_the_bits_of_a_fresh_kernel(self, a):
+        first = sigma_N_squared(a, 0.5 + 0.2j, 300)
+        second = sigma_N_squared(a, 0.5 + 0.2j, 300)
+        info = variance._memo_sigma2.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+        fresh = variance._sigma2(a.array(300), 0.5 + 0.2j)
+        assert first.hex() == second.hex() == fresh.hex()
+
+    def test_sandwich_and_split_hit(self, a):
+        sigma_N_squared(a, 0.5 + 0.2j, 300)
+        toeplitz_sandwich(a, 0.5 + 0.2j, 300)
+        split_plan(a, 300, lam=0.5 + 0.2j)
+        info = variance._memo_sigma2.cache_info()
+        assert (info.hits, info.misses) == (2, 1)
+
+    @pytest.mark.parametrize("other", [
+        lambda a: (CoefficientSequence.explicit(a.values), 0.5 + 0.2j, 300),
+        lambda a: (a, 0.5 + 0.2j, 299),
+        lambda a: (a, complex(math.nextafter(0.5, 1.0), 0.2), 300),
+        lambda a: (a, complex(0.5, 0.2), 300),  # the same bits: a hit
+        lambda a: (a, complex(0.0, 0.0), 300),
+    ], ids=["equal-values", "other-N", "lambda-one-ulp", "same", "zero"])
+    def test_only_the_same_key_hits(self, a, other):
+        sigma_N_squared(a, 0.5 + 0.2j, 300)
+        b, lam, n = other(a)
+        value = sigma_N_squared(b, lam, n)
+        hit = b is a and lam == 0.5 + 0.2j and n == 300
+        assert variance._memo_sigma2.cache_info().misses == (1 if hit else 2)
+        assert value.hex() == variance._sigma2(b.array(n), lam).hex()
+
+    def test_signed_zeros_are_separate_keys(self, a):
+        sigma_N_squared(a, complex(0.5, 0.0), 300)
+        sigma_N_squared(a, complex(0.5, -0.0), 300)
+        assert variance._memo_sigma2.cache_info().misses == 2
+
+
+# float.hex of sigma_N_squared, tail_sigma_squared (the tail from N) and
+# split_plan(...).partial_ratio (None: N cannot supply a block), taken
+# before the sigma_N^2 memo.  The mean 1 makes the cross sum as large as
+# S_N^2, so a change in how the kernel rounds shows in the bits.
+PINNED_VALUES = 1.0 + 0.5 * random_complex(5000, 20260)
+PINNED_BITS = {
+    (0.41 + 0.27j, 1): ("0x1.f73d4d37f5267p-1", "0x1.6a70c9ca320f1p+13", None),
+    (0.41 + 0.27j, 2): ("0x1.3f8b462a367ffp+1", "0x1.6a633aeded170p+13", "0x1.0000000000000p+0"),
+    (0.41 + 0.27j, 999): ("0x1.2dfb2474c2927p+11", "0x1.1f0152eb46e62p+13", "0x1.f153811bd72b9p-1"),
+    (0.41 + 0.27j, 5000): ("0x1.6a70c9ca320f1p+13", "0x1.56dbab9634cd5p-1", "0x1.f8d6750256659p-1"),
+    (0.5, 1): ("0x1.f73d4d37f5267p-1", "0x1.12f823e6b5064p+14", None),
+    (0.5, 2): ("0x1.7442fe672db8bp+1", "0x1.12ee8ab9826e9p+14", "0x1.0000000000000p+0"),
+    (0.5, 999): ("0x1.c89f666783ab4p+11", "0x1.b3c54cc71fecdp+13", "0x1.e1f51a525b36cp-1"),
+    (0.5, 5000): ("0x1.12f823e6b5064p+14", "0x1.56dbab9634cd5p-1", "0x1.f2ccaf35bc8f0p-1"),
+}
+
+
+@pytest.mark.parametrize("lam, N", list(PINNED_BITS))
+def test_variance_kernel_bits_are_pinned(lam, N):
+    sigma, tail, ratio = PINNED_BITS[lam, N]
+    a = CoefficientSequence.explicit(PINNED_VALUES)
+    assert sigma_N_squared(a, lam, N).hex() == sigma
+    assert tail_sigma_squared(a, lam, N).hex() == tail
+    assert toeplitz_sandwich(a, lam, N).sigma2.hex() == sigma
+    if ratio is None:
+        with pytest.raises(RegimeTooSmall):
+            split_plan(a, N, lam=lam)
+    else:
+        assert split_plan(a, N, lam=lam).partial_ratio.hex() == ratio
+
+
+@pytest.mark.parametrize("lam", [complex(math.nan, 0.1), complex(0.1, math.nan), math.nan],
+                         ids=["nan-real", "nan-imag", "nan-float"])
+@pytest.mark.parametrize("call", [
+    lambda a, lam: sigma_N_squared(a, lam, 10),
+    lambda a, lam: tail_sigma_squared(a, lam, 3),
+    lambda a, lam: toeplitz_sandwich(a, lam, 10),
+    lambda a, lam: split_plan(a, 10, lam=lam),
+    lambda a, lam: asymptotic_sigma_squared(lam),
+], ids=["sigma", "tail", "sandwich", "split", "asymptotic"])
+def test_nan_lambda_is_rejected(call, lam):
+    with pytest.raises(ValueError, match=r"need \|lambda\| < 1"):
+        call(CoefficientSequence.ones(10), lam)
 
 
 class TestTailSigma:
