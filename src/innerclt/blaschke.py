@@ -312,7 +312,7 @@ def _base_table(bits, f: BlaschkeProduct, order: int) -> np.ndarray:
     for j in range(1, order + 1):
         table[:, j] = np.convolve(table[:, j - 1], series)[:order + 1]
     table.flags.writeable = False
-    return table
+    return table.view()  # a view of a read-only array cannot be made writeable
 
 
 def iterate_derivative_on_circle(f: BlaschkeProduct, z, n: int):

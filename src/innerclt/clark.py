@@ -54,7 +54,9 @@ class ClarkMeasure:
         # a tiny negative angle rounds to 2 pi, which the second pass maps to 0
         atoms[:, 0] = atoms[:, 0] % TWO_PI % TWO_PI
         atoms.flags.writeable = False
-        object.__setattr__(self, "atoms", atoms)
+        # a view of a read-only array cannot be made writeable again, so the
+        # measure that clark_measure's memo keeps cannot be written into
+        object.__setattr__(self, "atoms", atoms.view())
 
     @property
     def angles(self) -> np.ndarray:

@@ -2,7 +2,8 @@
 
 
 class NonConvergence(RuntimeError):
-    """Quadrature failed to meet the requested tolerance at the grid cap.
+    """Quadrature failed to meet the requested tolerance at the grid cap, or
+    met a non-finite integrand value, which no finer grid can wash out.
 
     Carries the last computed value, the last refinement delta and the grid
     size, so a caller can report how far the integral got.

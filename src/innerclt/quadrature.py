@@ -70,8 +70,10 @@ _NEW_NODES: dict = {}
 def _new_nodes(n: int) -> np.ndarray:
     nodes = _NEW_NODES.get(n)
     if nodes is None:
-        nodes = _NEW_NODES[n] = _nodes(np.arange(n > 1, n, 2), n)
+        nodes = _nodes(np.arange(n > 1, n, 2), n)
         nodes.flags.writeable = False
+        # a view of a read-only array cannot be made writeable again
+        nodes = _NEW_NODES[n] = nodes.view()
     return nodes
 
 
@@ -110,6 +112,16 @@ def _level(g, nodes: np.ndarray, prev: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
+def _mean(vals: np.ndarray) -> complex:
+    """np.mean(vals) bit for bit.  For float64 and complex128 values that is
+    add.reduce, also on the strided even entries of a level, divided by the
+    count, without np.mean's Python wrapper; np.mean sums other types in
+    another type or divides in a wider one."""
+    if vals.dtype.char in "dD":
+        return complex(np.add.reduce(vals) / len(vals))
+    return complex(np.mean(vals))
+
+
 def integrate(g, tol: float = 1e-12, degree: int = 0) -> QuadratureResult:
     """Average g over the circle, doubling the grid until |delta| <= tol.
 
@@ -118,37 +130,43 @@ def integrate(g, tol: float = 1e-12, degree: int = 0) -> QuadratureResult:
     level and no error estimate, so it raises BudgetExceeded before g runs.
     g must accept a numpy array of points on the circle and be pointwise
     (its value at a point depends on that point only): the grids nest, so
-    after the first level g is called only on the new odd points
-    e^{2 pi i k / n}, k odd, and their values are interleaved with the
-    previous level's.  Each integral thus evaluates g at grid_size points
-    in total, at most BLOCK points per call, so the temporaries of g stay
-    in cache.  The nodes come from a node table that computes each level
-    once per process and holds at most DEFAULT_MAX_GRID nodes (4 MiB); g
-    gets a fresh copy of each block.  The estimated error is the difference
-    between the last two refinement levels; since the integrands here are
-    analytic in an annulus, convergence is geometric and the estimate is
-    conservative.
+    the first pass covers the first two levels (the start grid is the even
+    half of the doubled grid), after which g is called only on the new odd
+    points e^{2 pi i k / n}, k odd, and their values are interleaved with
+    the previous level's.  Each integral thus evaluates g at grid_size
+    points in total, at most BLOCK points per call, so the temporaries of g
+    stay in cache.  The nodes come from a node table that computes each
+    level once per process and holds at most DEFAULT_MAX_GRID nodes
+    (4 MiB); g gets a fresh copy of each block.  The estimated error is the
+    difference between the last two refinement levels; since the integrands
+    here are analytic in an annulus, convergence is geometric and the
+    estimate is conservative.  A non-finite value of g stays in every later
+    level's mean, so a level that holds one raises NonConvergence at once.
     """
-    if tol < 1e-14:
+    if not tol >= 1e-14:
         raise ValueError("tol must be >= 1e-14")
     grid = degree_aware_grid(degree)
     if grid == DEFAULT_MAX_GRID:
         raise BudgetExceeded(
             f"harmonic degree {degree} puts the start grid at the cap {DEFAULT_MAX_GRID}")
+    grid *= 2
     vals = _level(g, _grid(grid))
-    value = complex(np.mean(vals))
-    delta = math.inf
-    while grid < DEFAULT_MAX_GRID:
-        grid *= 2
-        vals = _level(g, _new_nodes(grid), vals)
-        prev, value = value, complex(np.mean(vals))
+    prev, value = _mean(vals[0::2]), _mean(vals)
+    while True:
         delta = abs(value - prev)
         if delta <= tol:
             return QuadratureResult(value, grid, delta)
-    raise NonConvergence(
-        f"quadrature did not reach tol={tol} at grid {grid} (delta={delta:.3e})",
-        value=value, est_error=delta, grid_size=grid,
-    )
+        if not math.isfinite(delta) and not np.isfinite(vals).all():
+            raise NonConvergence(f"integrand is not finite on the grid of {grid} points",
+                                 value=value, est_error=delta, grid_size=grid)
+        if grid == DEFAULT_MAX_GRID:
+            raise NonConvergence(
+                f"quadrature did not reach tol={tol} at grid {grid} (delta={delta:.3e})",
+                value=value, est_error=delta, grid_size=grid,
+            )
+        grid *= 2
+        vals = _level(g, _new_nodes(grid), vals)
+        prev, value = value, _mean(vals)
 
 
 # -- counter-based uniforms -------------------------------------------------

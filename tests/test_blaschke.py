@@ -241,6 +241,13 @@ class TestTaylorTableMemo:
         assert same_bits(taylor_table(DEG2_HALF, power, 3), want)
         assert same_bits(taylor_table(DEG2_HALF, 1, 3), reference_table(DEG2_HALF, 1, 3))
 
+    def test_memo_cannot_be_made_writeable(self):
+        want = reference_table(DEG2_HALF, 1, 3)
+        taylor_table(DEG2_HALF, 2, 3)
+        with pytest.raises(ValueError):
+            blaschke._base_table(DEG2_HALF._bits, DEG2_HALF, 3).flags.writeable = True
+        assert same_bits(taylor_table(DEG2_HALF, 1, 3), want)
+
     def test_four_factor_builds_one_table(self):
         blaschke._base_table.cache_clear()
         # gaps 1, 2 and 3 between the factors: three powers of one base table

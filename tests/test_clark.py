@@ -277,6 +277,16 @@ class TestMeasureMemo:
         assert np.array_equal(bits(hit.angles), bits(angles))
         assert np.array_equal(bits(hit.weights), bits(weights))
 
+    def test_kept_measure_cannot_be_made_writeable(self, atom_solves):
+        mu = clark_measure(monomial(2), CirclePoint(1.0), 2)
+        before = bits(mu.atoms).copy()
+        for array in (mu.atoms, mu.angles, mu.weights):
+            with pytest.raises(ValueError):
+                array.flags.writeable = True
+        hit = clark_measure(monomial(2), CirclePoint(1.0), 2)
+        assert hit is mu and len(atom_solves) == 1
+        assert np.array_equal(bits(hit.atoms), before)
+
     def test_failed_solves_leave_the_slot_alone(self, monkeypatch, atom_solves):
         alpha = CirclePoint(0.7)
         with monkeypatch.context() as patch:

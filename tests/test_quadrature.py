@@ -78,6 +78,33 @@ class TestIntegrate:
         val = integrate(lambda z: np.polyval(coeffs, z)).value
         assert abs(val - coeffs[-1]) < 1e-9 * max(1.0, max(abs(c) for c in coeffs))
 
+    @pytest.mark.parametrize("tol", [math.nan, -math.inf, 0.0, 1e-15])
+    def test_bad_tol_raises_before_g_runs(self, tol):
+        g, seen = recording(lambda z: z)
+        with pytest.raises(ValueError, match="tol must be >= 1e-14"):
+            integrate(g, tol=tol)
+        assert seen == []
+
+    # a node where the integrand is not finite, and the grid that first holds
+    # it: the start grid (z = 1), the odd half of the first pass, and a later
+    # level; elsewhere the cusp, which does not converge before the cap
+    NON_FINITE_AT = {"start": (0, 512), "first-pass-odd": (1, 512), "later-level": (1, 4096)}
+
+    @pytest.mark.parametrize("where", sorted(NON_FINITE_AT))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.inf)],
+                             ids=["nan", "inf", "-inf", "inf-j"])
+    def test_non_finite_integrand_stops_at_its_level(self, where, bad):
+        k, level = self.NON_FINITE_AT[where]
+        node = circle_grid(level)[k]
+        g, seen = recording(lambda z: np.where(z == node, bad, cusp(z)))
+        # a mean of (0, inf) divides inf by the count as a complex number
+        with pytest.raises(NonConvergence, match="not finite") as err, \
+                np.errstate(invalid="ignore"):
+            integrate(g, tol=1e-13)
+        assert err.value.grid_size == level
+        assert sum(len(z) for z in seen) == level
+        assert not math.isfinite(err.value.est_error)
+
 
 def full_grid_integrate(g, tol=1e-12, degree=0):
     """Reference: the doubling loop re-evaluating g on the whole grid per level."""
@@ -137,10 +164,11 @@ def returning(g):
     return wrapped, out
 
 
-def by_level(seen, start):
-    """The arrays of `recording` grouped by level and concatenated: the start
-    grid's points first, then the odd half of each doubled grid."""
-    levels, calls, size = [], list(seen), start
+def by_level(seen, first):
+    """The arrays of `recording` grouped by integrand pass and concatenated:
+    the first pass's `first` points (the start grid doubled), then the odd
+    half of each doubled grid."""
+    levels, calls, size = [], list(seen), first
     while calls:
         level = []
         while sum(map(len, level)) < size:
@@ -171,9 +199,36 @@ NESTED_CASES = {
     "constant": (lambda z: z ** 0, {}),
     "lacunary": (lambda z: np.abs(z ** 2 + z ** 4) ** 2, {}),
     "poisson": (lambda z: (1 - 0.8 ** 2) / np.abs(1 - 0.8 * z) ** 2, {}),
+    # converges at 4096: three passes after the first
+    "poisson_slow": (lambda z: (1 - 0.98 ** 2) / np.abs(1 - 0.98 * z) ** 2, {}),
     "polynomial": (lambda z: np.polyval([2 - 1j, 0.5, 3j, -1.0, 0.25], z), {}),
     "four_factor": (four_factor_integrand, {"tol": 1e-11, "degree": 512}),
     "invariance": (lambda z: np.real(DEG3_MIXED.boundary_step(z)) ** 3, {"tol": 1e-13}),
+}
+
+
+def signed_case(f, signs, powers, tol):
+    """(g, tol, degree) of int prod (f^{n_j})^{+-} dm as `_signed_integral` sets it up."""
+    powers = tuple(n - powers[0] for n in powers)
+    return _signed_integrand(f, signs, powers), tol, sum(f.degree ** n for n in powers)
+
+
+# the shapes that the correlation checks integrate: pairs at gaps 1-6, the
+# four-factor shapes I and IV (top index 4 to 10) and alternating products
+SHAPE_CASES = {
+    **{f"pair_{name}_gap{gap}": signed_case(f, (-1, 1), (0, gap), 1e-12)
+       for name, f in {"z2": monomial(2), "z3": monomial(3), "deg2-half": DEG2_HALF,
+                       "deg3-mixed": DEG3_MIXED}.items()
+       for gap in range(1, 7)},
+    **{"four_factor_IV_" + "_".join(map(str, idx)):
+       signed_case(DEG2_HALF, (1, -1, 1, -1), idx, 1e-11)
+       for idx in [(1, 2, 3, 4), (1, 3, 4, 7), (2, 4, 6, 10)]},
+    **{"four_factor_I_" + "_".join(map(str, idx)): signed_case(DEG2_HALF, signs, idx, 1e-11)
+       for idx, signs in [((1, 2, 3, 4), (1, -1, 1, 1)), ((1, 3, 5, 8), (-1, 1, 1, 1)),
+                          ((2, 5, 7, 10), (1, -1, -1, -1))]},
+    **{f"alternating_k{k}": signed_case(DEG2_HALF, tuple((-1) ** j for j in range(k)),
+                                        tuple(range(1, 2 * k, 2)), 5e-8)
+       for k in range(2, 7)},
 }
 
 
@@ -191,51 +246,58 @@ class TestNestedDoubling:
         g, kwargs = NESTED_CASES[case]
         g, seen = recording(g)
         res = integrate(g, **kwargs)
+        # the first pass covers the start grid and its first doubling
         sizes = [len(z) for z in seen]
         start = degree_aware_grid(kwargs.get("degree", 0))
-        assert sizes == [start] + [start << k for k in range(len(sizes) - 1)]
+        assert sizes == [2 * start] + [start << k for k in range(1, len(sizes))]
         assert sum(sizes) == res.grid_size
-        assert np.array_equal(seen[0], circle_grid(start))
-        for k, z in enumerate(seen[1:], start=1):
-            assert np.array_equal(z, circle_grid(start << k)[1::2])
+        assert same_bits(seen[0], circle_grid(2 * start))
+        for k, z in enumerate(seen[1:], start=2):
+            assert same_bits(z, circle_grid(start << k)[1::2])
 
     def test_odd_points_are_full_grid_points_at_large_sizes(self):
-        # g sees BLOCK points per call; the blocks of each level rebuild
-        # circle_grid(2^16) and the odd half of circle_grid(n) at n = 2^17,
-        # 2^18 bit for bit
+        # g sees BLOCK points per call; from a start grid of 2^16, the blocks
+        # of the first pass rebuild circle_grid(2^17) and those of the next
+        # the odd half of circle_grid(2^18), bit for bit
         g, seen = recording(cusp)
-        with pytest.raises(NonConvergence):
+        with pytest.raises(NonConvergence) as err:
             integrate(g, tol=1e-14, degree=2 ** 13)
         assert all(len(z) <= BLOCK for z in seen)
-        levels = by_level(seen, 2 ** 16)
-        assert [len(z) for z in levels] == [2 ** 16, 2 ** 16, 2 ** 17]
-        assert same_bits(levels[0], circle_grid(2 ** 16))
-        assert same_bits(levels[1], circle_grid(2 ** 17)[1::2])
-        assert same_bits(levels[2], circle_grid(2 ** 18)[1::2])
+        levels = by_level(seen, 2 ** 17)
+        assert [len(z) for z in levels] == [2 ** 17, 2 ** 17]
+        assert same_bits(levels[0], circle_grid(2 ** 17))
+        assert same_bits(levels[1], circle_grid(2 ** 18)[1::2])
+        assert sum(len(z) for z in seen) == err.value.grid_size == DEFAULT_MAX_GRID
 
     # integrals whose levels reach 2^16 - 2^18: a deg2-half four-factor of
-    # spread 9, a z^3 pair of spread 8 and the cusp, which does not converge
+    # spread 9, a z^3 pair of spread 8, and the cusp and a pair of spread 8
+    # on the rotated degree-3 map, which do not converge by the cap
     BLOCKED_CASES = {
         "four_factor": (_signed_integrand(DEG2_HALF, (1, -1, 1, -1), (0, 1, 8, 9)),
                         1e-11, 1 + 2 + 2 ** 8 + 2 ** 9),
         "z3_pair": (_signed_integrand(monomial(3), (-1, 1), (0, 8)), 1e-12, 1 + 3 ** 8),
         "cusp": (cusp, 1e-13, 0),
+        "deg3_mixed_pair": signed_case(DEG3_MIXED, (-1, 1), (0, 8), 1e-12),
     }
 
-    @pytest.mark.parametrize("case", sorted(BLOCKED_CASES))
+    @pytest.mark.parametrize("case", sorted(BLOCKED_CASES) + sorted(SHAPE_CASES))
     def test_blocked_levels_match_unblocked_bit_for_bit(self, case):
-        g, tol, degree = self.BLOCKED_CASES[case]
+        g, tol, degree = {**self.BLOCKED_CASES, **SHAPE_CASES}[case]
         ref_g, ref_out = returning(g)
         value, grid, delta = unblocked_integrate(ref_g, tol, degree)
-        assert grid >= 2 ** 16
+        assert grid >= 2 ** 16 or case in SHAPE_CASES
         g, out = returning(g)
         try:
             res = integrate(g, tol, degree)
         except NonConvergence as err:
             res = err
-            assert case == "cusp" and grid == DEFAULT_MAX_GRID
-        # every point's value, not only the means, which can hide a changed bit
-        assert same_bits(np.concatenate(out), np.concatenate(ref_out))
+        assert isinstance(res, NonConvergence) == (case in ("cusp", "deg3_mixed_pair"))
+        # every point's value, not only the means, which can hide a changed
+        # bit; the first pass gives the start grid's values at even and the
+        # first doubling's at odd positions
+        first = np.empty(2 * len(ref_out[0]), dtype=np.result_type(*ref_out[:2]))
+        first[0::2], first[1::2] = ref_out[0], ref_out[1]
+        assert same_bits(np.concatenate(out), np.concatenate([first] + ref_out[2:]))
         assert res.value.real.hex() == value.real.hex()
         assert res.value.imag.hex() == value.imag.hex()
         assert res.est_error.hex() == delta.hex()
@@ -257,17 +319,19 @@ class TestNestedDoubling:
 
     def test_table_grown_to_2_17_serves_a_later_small_integral(self, monkeypatch):
         computed = self.cold_table(monkeypatch)
-        # a constant converges at the first doubling: 2^16, then 2^17
+        # a constant converges at the first doubling: one pass over 2^17
         g, seen = recording(lambda z: z ** 0)
         assert integrate(g, degree=2 ** 13).grid_size == 2 ** 17
+        assert [len(z) for z in seen] == [BLOCK] * (2 ** 17 // BLOCK)
         assert sum(computed) == 2 ** 17
-        g, seen = recording(NESTED_CASES["poisson"][0])
+        g, seen = recording(NESTED_CASES["poisson_slow"][0])
         res = integrate(g)
         assert sum(computed) == 2 ** 17  # every node came from the table
-        # each level is one block here, and each block its slice of the grid
-        assert 2 ** 8 < res.grid_size <= BLOCK
-        assert same_bits(seen[0], circle_grid(2 ** 8))
-        for k, z in enumerate(seen[1:], start=1):
+        # each pass is one block here, and each block its slice of the grid:
+        # circle_grid(2^9), then the odd half of each doubled grid
+        assert 2 ** 10 < res.grid_size <= BLOCK
+        assert same_bits(seen[0], circle_grid(2 ** 9))
+        for k, z in enumerate(seen[1:], start=2):
             assert same_bits(z, circle_grid(2 ** (8 + k))[1::2])
         assert sum(len(z) for z in seen) == res.grid_size
 
@@ -313,6 +377,40 @@ class TestNestedDoubling:
         assert ref_grid is None
         assert abs(err.value.value - ref_value) <= 1e-15
 
+    # np.mean sums integers in float64, where 2^62 does not overflow, and
+    # divides a complex64 sum in complex128
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128, np.int64, np.bool_,
+                                       np.complex64])
+    def test_level_mean_has_np_mean_bits(self, dtype):
+        rng = np.random.default_rng(29)
+        # levels are powers of two; other counts show a division by the count
+        # done another way, such as a product with its reciprocal
+        sizes = [1, 512, BLOCK, 2 ** 17, DEFAULT_MAX_GRID] + [3, 7, 1000, BLOCK + 1] * 10
+        for n in sizes:
+            vals = rng.standard_normal(n) * np.exp(rng.uniform(-20, 20, n))
+            if np.dtype(dtype).kind == "c":
+                vals = vals + 1j * rng.standard_normal(n) * np.exp(rng.uniform(-20, 20, n))
+            elif dtype is np.int64:
+                vals = rng.integers(2 ** 62, size=n)
+            elif dtype is np.bool_:
+                vals = vals > 0
+            vals = vals.astype(dtype)
+            # the whole level, and its even entries as the first pass reads them
+            for level, contiguous in ((vals, vals), (vals[0::2], vals[0::2].copy())):
+                want = complex(np.mean(contiguous))
+                got = quadrature._mean(level)
+                assert got.real.hex() == want.real.hex(), n
+                assert got.imag.hex() == want.imag.hex(), n
+
+    def test_node_table_cannot_be_made_writeable(self):
+        integrate(NESTED_CASES["poisson_slow"][0])
+        assert quadrature._NEW_NODES
+        for nodes in quadrature._NEW_NODES.values():
+            with pytest.raises(ValueError):
+                nodes.flags.writeable = True
+        for n in quadrature._NEW_NODES:
+            assert same_bits(quadrature._grid(n), circle_grid(n))
+
 
 class TestGridHelpers:
     def test_circle_grid_on_circle(self):
@@ -337,13 +435,13 @@ class TestGridBudget:
     degree; a start grid at the cap raises BudgetExceeded before integrating."""
 
     def test_integrate_start_at_cap_raises_before_g_runs(self):
+        # a start grid of 2^17: the first pass covers the whole 2^18 grid
         g, seen = recording(lambda z: z)
-        integrate(g, degree=2 ** 14)
+        assert integrate(g, degree=2 ** 14).grid_size == DEFAULT_MAX_GRID
         assert all(len(z) <= BLOCK for z in seen)
-        levels = by_level(seen, DEFAULT_MAX_GRID // 2)
-        assert [len(z) for z in levels] == [DEFAULT_MAX_GRID // 2] * 2
-        assert same_bits(levels[0], circle_grid(DEFAULT_MAX_GRID // 2))
-        assert same_bits(levels[1], circle_grid(DEFAULT_MAX_GRID)[1::2])
+        levels = by_level(seen, DEFAULT_MAX_GRID)
+        assert [len(z) for z in levels] == [DEFAULT_MAX_GRID]
+        assert same_bits(levels[0], circle_grid(DEFAULT_MAX_GRID))
         g, seen = recording(lambda z: z)
         with pytest.raises(BudgetExceeded):
             integrate(g, degree=2 ** 14 + 1)
