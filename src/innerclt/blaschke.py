@@ -99,6 +99,7 @@ class BlaschkeProduct:
         object.__setattr__(self, "_poles", poles[np.isfinite(poles)])
         # the exact bits of zeros and rotation: equality takes 0.5+0j and 0.5-0j as one
         object.__setattr__(self, "_bits", np.array(zeros + (rotation,)).tobytes())
+        object.__setattr__(self, "_jet", TaylorJet(*self._series(2)[1:]))
 
     @property
     def degree(self) -> int:
@@ -204,9 +205,8 @@ class BlaschkeProduct:
         return [0j] * min(m, order + 1) + [self.rotation * r for r in rest]
 
     def taylor_at_zero(self) -> TaylorJet:
-        """(c1, c2) = (f'(0), f''(0)/2), read from the series of f."""
-        _, c1, c2 = self._series(2)
-        return TaylorJet(c1, c2)
+        """(c1, c2) = (f'(0), f''(0)/2), read from the series of f once, at construction."""
+        return self._jet
 
     # -- boundary dynamics --------------------------------------------------
 

@@ -214,7 +214,10 @@ def run_verify(args) -> int:
         all_pass &= bool(passed)
         print(f"{'PASS' if passed else 'FAIL'} {name} ({detail})")
     if args.csv:
-        _write_csv(args.csv, csv_header, csv_rows)
+        try:
+            _write_csv(args.csv, csv_header, csv_rows)
+        except OSError as exc:
+            raise argparse.ArgumentError(None, f"verify {args.suite} --csv: {exc}") from exc
     return 0 if all_pass else 1
 
 
@@ -225,9 +228,12 @@ def run_simulate(args) -> int:
     out = Path(args.out)
     # Outputs of an earlier run in `out` must not pass for this run's:
     # tail runs write no samples.csv, and a failed run writes no report.json.
-    if out.is_dir():
-        for name in ("samples.csv", "report.json"):
-            (out / name).unlink(missing_ok=True)
+    try:
+        if out.is_dir():
+            for name in ("samples.csv", "report.json"):
+                (out / name).unlink(missing_ok=True)
+    except OSError as exc:  # such as a directory at an output's name
+        raise argparse.ArgumentError(None, _input_error("clt simulate --out", exc)) from exc
     try:
         with open(args.config) as fh:
             config = json.load(fh)
@@ -313,9 +319,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "verify" and args.csv and SUITES[args.suite][1] is None:
-        # checked before any suite runs: these suites write no table
-        parser.error(f"verify {args.suite} writes no table for --csv")
+    if args.command == "verify" and args.csv:
+        # checked before any suite runs
+        if SUITES[args.suite][1] is None:
+            parser.error(f"verify {args.suite} writes no table for --csv")
+        path = Path(args.csv)
+        if path.is_dir():
+            parser.error(f"verify {args.suite} --csv: {path} is a directory")
+        if not path.parent.is_dir():
+            parser.error(f"verify {args.suite} --csv: no directory {path.parent}")
     try:
         return args.func(args)
     except argparse.ArgumentError as exc:

@@ -133,12 +133,14 @@ def _signed_integrand(f: BlaschkeProduct, signs, powers):
     bits do not depend on how many points share the call.  z are quadrature
     nodes, on the circle, so the orbit is walked without validation.
     """
-    signs_at = {n: [s for s, m in zip(signs, powers) if m == n] for n in powers}
+    signs_at = [[] for _ in range(powers[-1] + 1)]  # the signs at each step of the orbit
+    for s, n in zip(signs, powers):
+        signs_at[n].append(s)
 
     def g(z):
         out = np.ones_like(z)
-        for n, cur in enumerate(f._walk(z, powers[-1])):
-            for s in signs_at.get(n, ()):
+        for step_signs, cur in zip(signs_at, f._walk(z, powers[-1])):
+            for s in step_signs:
                 out = out * cur if s > 0 else np.conj(cur) * out
         return out
 

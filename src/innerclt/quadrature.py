@@ -77,14 +77,26 @@ def _new_nodes(n: int) -> np.ndarray:
     return nodes
 
 
+# The grids of up to BLOCK nodes that a first pass has covered, kept as
+# _NEW_NODES keeps its levels: at most 2 * BLOCK nodes (256 KiB).
+_GRIDS: dict = {}
+
+
 def _grid(n: int) -> np.ndarray:
-    """circle_grid(n) for a power of two n, bit for bit, from the node table."""
+    """circle_grid(n) for a power of two n, bit for bit, from the node table;
+    read-only and kept for n <= BLOCK."""
+    out = _GRIDS.get(n)
+    if out is not None:
+        return out
     out = np.empty(n, dtype=complex)
     out[0] = _new_nodes(1)[0]
     m = 2
     while m <= n:
         out[n // m::2 * n // m] = _new_nodes(m)
         m *= 2
+    if n <= BLOCK:
+        out.flags.writeable = False
+        out = _GRIDS[n] = out.view()
     return out
 
 
@@ -92,7 +104,10 @@ def _level(g, nodes: np.ndarray, prev: np.ndarray | None = None) -> np.ndarray:
     """g at nodes, BLOCK nodes per call, interleaved with prev if given.
 
     Each block is a fresh copy, so an integrand that writes into its argument
-    cannot change the node table.  With prev, the values of the previous
+    cannot change the node table.  Without prev, a float64 or complex128
+    array that g returns for all the nodes at once is the level itself, not
+    a copy; levels are only read after they are made, so g must not write
+    into an array it has returned.  With prev, the values of the previous
     level, the result holds prev at even and g at odd positions; g's blocks
     are written there directly, so the level is never copied whole.  Every
     block of g must cast safely to the dtype of the first one.
@@ -103,6 +118,8 @@ def _level(g, nodes: np.ndarray, prev: np.ndarray | None = None) -> np.ndarray:
         z = nodes[lo:lo + BLOCK].copy()
         val = np.asarray(g(z))
         if out is None:
+            if prev is None and val.shape == z.shape == nodes.shape and val.dtype.char in "dD":
+                return val
             dtype = val.dtype if prev is None else np.result_type(prev, val)
             out = np.empty(step * len(nodes), dtype=dtype)
         # broadcasts, so an integrand that returns a constant still works
@@ -141,7 +158,8 @@ def integrate(g, tol: float = 1e-12, degree: int = 0) -> QuadratureResult:
     difference between the last two refinement levels; since the integrands
     here are analytic in an annulus, convergence is geometric and the
     estimate is conservative.  A non-finite value of g stays in every later
-    level's mean, so a level that holds one raises NonConvergence at once.
+    level's mean, so a level that holds one raises NonConvergence at once,
+    and so does a level whose finite values overflow its mean.
     """
     if not tol >= 1e-14:
         raise ValueError("tol must be >= 1e-14")
@@ -156,8 +174,9 @@ def integrate(g, tol: float = 1e-12, degree: int = 0) -> QuadratureResult:
         delta = abs(value - prev)
         if delta <= tol:
             return QuadratureResult(value, grid, delta)
-        if not math.isfinite(delta) and not np.isfinite(vals).all():
-            raise NonConvergence(f"integrand is not finite on the grid of {grid} points",
+        if not math.isfinite(delta):
+            what = "level mean" if np.isfinite(vals).all() else "integrand"
+            raise NonConvergence(f"{what} is not finite on the grid of {grid} points",
                                  value=value, est_error=delta, grid_size=grid)
         if grid == DEFAULT_MAX_GRID:
             raise NonConvergence(

@@ -120,6 +120,18 @@ class TestDerivativeAndJet:
         assert abs(jet.c1 - 0.5) < 1e-15
         assert abs(jet.c2 + 0.75) < 1e-15
 
+    # 0.5+0j and 0.5-0j make equal maps; each keeps the jet of its own series
+    @pytest.mark.parametrize("f", [monomial(2), monomial(3), DEG2_HALF, DEG3_ROTATED,
+                                   BlaschkeProduct(zeros=(0.0, complex(0.5, 0.0))),
+                                   BlaschkeProduct(zeros=(0.0, complex(0.5, -0.0))),
+                                   BlaschkeProduct(zeros=(0.0, 0.0, -0.5j), rotation=-1.0)])
+    def test_stored_jet_has_the_series_bits(self, f):
+        _, c1, c2 = f._series(2)
+        jet = f.taylor_at_zero()
+        assert jet is f.taylor_at_zero()
+        for got, want in ((jet.c1, c1), (jet.c2, c2)):
+            assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_iterate_jet_against_cauchy_integral(self, n):
         c0, c1, c2 = dft_taylor(lambda z: iterate(DEG2_HALF, n, z), 2)

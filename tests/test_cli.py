@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from innerclt import _csvrows, clark
+from innerclt import _csvrows, clark, cli
 from innerclt.blaschke import monomial
 from innerclt.clark import BoundaryAtomSolver
 from innerclt.cli import _write_samples_csv, coefficients_from_config, main
@@ -111,6 +111,38 @@ class TestVerifyCommand:
         assert "writes no table" in captured.err and captured.out == ""
         assert not csv_path.exists()
         assert stepped == []  # rejected before any check runs
+
+    @pytest.mark.parametrize("suite", ["correlations", "variance"])
+    @pytest.mark.parametrize("where, message", [
+        ("missing/table.csv", "no directory {tmp}/missing"),
+        ("directory", "{tmp}/directory is a directory")])
+    def test_csv_path_that_cannot_be_written_is_a_usage_error(self, tmp_path, capsys,
+                                                              stepped, suite, where,
+                                                              message):
+        (tmp_path / "directory").mkdir()
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", suite, "--csv", str(tmp_path / where)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert captured.err.splitlines()[-1] == (
+            f"innerclt: error: verify {suite} --csv: " + message.format(tmp=tmp_path))
+        assert stepped == []  # rejected before any check runs
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["directory"]
+
+    def test_failed_csv_write_is_a_usage_error(self, tmp_path, capsys, monkeypatch):
+        def full_disk(path, header, rows):
+            raise OSError(28, "No space left on device")
+        monkeypatch.setitem(cli.SUITES, "variance",
+                            (lambda: ([("row", True, "detail")], []), ("N",)))
+        monkeypatch.setattr(cli, "_write_csv", full_disk)
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "variance", "--csv", str(tmp_path / "variance.csv")])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "PASS row (detail)\n" and "Traceback" not in captured.err
+        assert captured.err.splitlines()[-1] == (
+            "innerclt: error: verify variance --csv: [Errno 28] No space left on device")
 
     def test_correlations_suite_with_csv(self, tmp_path):
         csv_path = tmp_path / "corr.csv"
@@ -291,6 +323,23 @@ class TestSimulateCommand:
         assert last.startswith("innerclt: error: clt simulate --out: ") and "File exists" in last
         assert stepped == []
         assert out_file.read_text() == "not a directory"
+
+    @pytest.mark.parametrize("name", ["samples.csv", "report.json"])
+    def test_directory_at_an_output_name_is_a_usage_error(self, tmp_path, capsys, stepped,
+                                                          name):
+        out_dir = tmp_path / "out"
+        (out_dir / name).mkdir(parents=True)
+        with pytest.raises(SystemExit) as exc:
+            main(["clt", "simulate", "--config", str(self._write_config(tmp_path)),
+                  "--out", str(out_dir)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        last = captured.err.splitlines()[-1]
+        assert last.startswith("innerclt: error: clt simulate --out: ")
+        assert last.endswith(f"Is a directory: '{out_dir / name}'")
+        assert stepped == []
+        assert [p.name for p in out_dir.iterdir()] == [name]
 
     @pytest.mark.parametrize("overrides", [
         {"tolerances": [1, 2]},       # a malformed config

@@ -437,6 +437,20 @@ def test_integrand_bits_do_not_depend_on_batch_length(f, signs, powers):
     assert np.array_equal(sliced, g(z))
 
 
+@pytest.mark.parametrize("f", [DEG2_HALF, DEG3_MIXED], ids=["deg2-half", "deg3-mixed"])
+@pytest.mark.parametrize("signs,powers", [((1, -1, 1), (0, 2, 2)), ((-1, 1, 1, -1), (0, 0, 3, 3))])
+def test_integrand_multiplies_factors_in_their_order(f, signs, powers):
+    # factors at one index keep the order of signs; complex products are not
+    # associative in floating point, so another order changes bits
+    z = circle_grid(512)
+    its = list(f.orbit(z, powers[-1]))
+    want = np.ones_like(z)
+    for s, n in zip(signs, powers):
+        want = want * its[n] if s > 0 else np.conj(its[n]) * want
+    got = _signed_integrand(f, signs, powers)(z)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 class TestPhiExponent:
     def test_alternating_quadruple(self):
         rep = phi_exponent(CorrelationSpec((1, -1, 1, -1), (1, 2, 3, 4)))

@@ -1,6 +1,7 @@
 """Circle quadrature, counter-based sampling and measure invariance."""
 
 import cmath
+import itertools
 import math
 import os
 import subprocess
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from innerclt import quadrature
+from innerclt import correlations, quadrature
 from innerclt.blaschke import BlaschkeProduct, monomial
 from innerclt.correlations import _signed_integrand, pair_correlation
 from innerclt.errors import BudgetExceeded, NonConvergence
@@ -103,6 +104,17 @@ class TestIntegrate:
             integrate(g, tol=1e-13)
         assert err.value.grid_size == level
         assert sum(len(z) for z in seen) == level
+        assert not math.isfinite(err.value.est_error)
+
+    @pytest.mark.parametrize("big", [1e308, complex(1e308, -1e308)])
+    def test_overflowing_level_mean_stops_at_the_first_pass(self, big):
+        # every value is finite, but the level's sum is not
+        g, seen = recording(lambda z: np.full(z.shape, big))
+        with pytest.raises(NonConvergence, match="^level mean is not finite") as err, \
+                np.errstate(over="ignore", invalid="ignore"):
+            integrate(g)
+        assert err.value.grid_size == 512
+        assert [len(z) for z in seen] == [512]
         assert not math.isfinite(err.value.est_error)
 
 
@@ -213,13 +225,14 @@ def signed_case(f, signs, powers, tol):
     return _signed_integrand(f, signs, powers), tol, sum(f.degree ** n for n in powers)
 
 
+PAIR_MAPS = {"z2": monomial(2), "z3": monomial(3), "deg2-half": DEG2_HALF,
+             "deg3-mixed": DEG3_MIXED}
+
 # the shapes that the correlation checks integrate: pairs at gaps 1-6, the
 # four-factor shapes I and IV (top index 4 to 10) and alternating products
 SHAPE_CASES = {
     **{f"pair_{name}_gap{gap}": signed_case(f, (-1, 1), (0, gap), 1e-12)
-       for name, f in {"z2": monomial(2), "z3": monomial(3), "deg2-half": DEG2_HALF,
-                       "deg3-mixed": DEG3_MIXED}.items()
-       for gap in range(1, 7)},
+       for name, f in PAIR_MAPS.items() for gap in range(1, 7)},
     **{"four_factor_IV_" + "_".join(map(str, idx)):
        signed_case(DEG2_HALF, (1, -1, 1, -1), idx, 1e-11)
        for idx in [(1, 2, 3, 4), (1, 3, 4, 7), (2, 4, 6, 10)]},
@@ -305,8 +318,8 @@ class TestNestedDoubling:
 
     @staticmethod
     def cold_table(monkeypatch):
-        """An empty node table, as in a fresh process, and the sizes of the
-        node sets that _nodes then computes."""
+        """An empty node table and grid memo, as in a fresh process, and the
+        sizes of the node sets that _nodes then computes."""
         computed = []
         nodes = quadrature._nodes
 
@@ -314,6 +327,7 @@ class TestNestedDoubling:
             computed.append(len(k))
             return nodes(k, n)
         monkeypatch.setattr(quadrature, "_NEW_NODES", {})
+        monkeypatch.setattr(quadrature, "_GRIDS", {})
         monkeypatch.setattr(quadrature, "_nodes", spy)
         return computed
 
@@ -346,24 +360,102 @@ class TestNestedDoubling:
             assert same_bits(quadrature._grid(n), circle_grid(n))
 
     def test_integrand_writing_into_its_points_changes_no_later_integral(self):
+        # first passes over 512 and BLOCK nodes (one block each, from a kept
+        # grid) and over 2 * BLOCK nodes (two blocks); an integrand that
+        # returns a constant, and one that returns the points it wrote
         g = NESTED_CASES["four_factor"][0]
-        before = integrate(g, tol=1e-11, degree=512)
+        for degree, returns in itertools.product((0, 512, 1024), ("constant", "points")):
+            before = integrate(g, tol=1e-11, degree=degree)
 
-        def vandal(z):
-            z *= 2.0
-            z[::3] = np.nan
-            return 1.0
-        assert integrate(vandal, tol=1e-11, degree=512).value == 1.0
-        after = integrate(g, tol=1e-11, degree=512)
-        assert after.value.real.hex() == before.value.real.hex()
-        assert after.value.imag.hex() == before.value.imag.hex()
-        assert after == before
-        for n in quadrature._NEW_NODES:
-            assert same_bits(quadrature._grid(n), circle_grid(n))
+            def vandal(z):
+                z *= 2.0
+                z[::3] = np.nan
+                return 1.0 if returns == "constant" else z
+            if returns == "constant":
+                assert integrate(vandal, tol=1e-11, degree=degree).value == 1.0
+            else:  # a NaN among its values stops it
+                with pytest.raises(NonConvergence), np.errstate(invalid="ignore"):
+                    integrate(vandal, tol=1e-11, degree=degree)
+            after = integrate(g, tol=1e-11, degree=degree)
+            assert after.value.real.hex() == before.value.real.hex()
+            assert after.value.imag.hex() == before.value.imag.hex()
+            assert after == before
+            assert (2 * degree_aware_grid(degree) in quadrature._GRIDS) == (degree < 1024)
+            for n in {**quadrature._NEW_NODES, **quadrature._GRIDS}:
+                assert same_bits(quadrature._grid(n), circle_grid(n))
+
+    def test_kept_grids_are_read_only_and_have_circle_grid_bits(self, monkeypatch):
+        computed = self.cold_table(monkeypatch)
+        # first passes over 2^9 .. 2^14 nodes; only those of at most BLOCK are kept
+        for degree in (0, 64, 128, 256, 512, 1024):
+            integrate(lambda z: z ** 0, degree=degree)
+        assert sorted(quadrature._GRIDS) == [2 ** k for k in range(9, 14)]
+        assert 2 * BLOCK == 2 ** 14 and sum(computed) == 2 ** 14
+        for n, grid in quadrature._GRIDS.items():
+            with pytest.raises(ValueError):
+                grid.flags.writeable = True
+            assert quadrature._grid(n) is grid
+            assert same_bits(grid, circle_grid(n))
+        assert quadrature._grid(2 * BLOCK) is not quadrature._grid(2 * BLOCK)
+        assert same_bits(quadrature._grid(2 * BLOCK), circle_grid(2 * BLOCK))
+
+    # what g returns on a one-block first pass, and the dtype of its level:
+    # a float64 or complex128 array of the block's shape is the level itself,
+    # anything else is copied into a level of its own dtype
+    ONE_BLOCK_RETURNS = {
+        "float": (lambda z: 2.5, np.float64),
+        "complex": (lambda z: 1.0 - 0.5j, np.complex128),
+        "int64": (lambda z: np.full(z.shape, 3), np.int64),
+        "float32": (lambda z: np.full(z.shape, 0.1, dtype=np.float32), np.float32),
+        "complex64": (lambda z: (z ** 2).astype(np.complex64), np.complex64),
+        "float64": (lambda z: np.real(z) ** 2 + np.real(z), np.float64),
+        "strided-float64": (np.real, np.float64),
+        "complex128": (lambda z: z ** 3 + 0.25, np.complex128),
+    }
+
+    @pytest.mark.parametrize("case", sorted(ONE_BLOCK_RETURNS))
+    def test_one_block_first_pass_keeps_value_and_dtype(self, case):
+        g, dtype = self.ONE_BLOCK_RETURNS[case]
+        g, out = returning(g)
+        level = quadrature._level(g, quadrature._grid(512))
+        assert level.dtype == dtype and level.shape == (512,)
+        assert (level is out[0]) == (case in ("float64", "strided-float64", "complex128"))
+        value, grid, delta = unblocked_integrate(g)
+        res = integrate(g)
+        assert res.value.real.hex() == value.real.hex()
+        assert res.value.imag.hex() == value.imag.hex()
+        assert res.est_error.hex() == delta.hex()
+        assert res.grid_size == grid
+
+    # pair_correlation(f, k, k + gap) integrates the pair shifted to (0, gap)
+    @pytest.mark.parametrize("name", sorted(PAIR_MAPS))
+    @pytest.mark.parametrize("gap", range(1, 7))
+    def test_pair_correlation_has_unblocked_bits(self, monkeypatch, name, gap):
+        f = PAIR_MAPS[name]
+        results = []
+
+        def spy(*args, **kwargs):
+            results.append(integrate(*args, **kwargs))
+            return results[-1]
+        monkeypatch.setattr(correlations, "integrate", spy)
+        value, grid, delta = unblocked_integrate(*signed_case(f, (-1, 1), (0, gap), 1e-12))
+        c1 = f._series(2)[1]
+        for k in (1, 3):
+            pc = pair_correlation(f, k, k + gap)
+            res = results.pop()
+            assert pc.value == res.value and results == []
+            assert res.value.real.hex() == value.real.hex()
+            assert res.value.imag.hex() == value.imag.hex()
+            assert res.est_error.hex() == delta.hex()
+            assert res.grid_size == grid
+            target = c1 ** gap
+            assert pc.target.real.hex() == target.real.hex()
+            assert pc.target.imag.hex() == target.imag.hex()
 
     def test_nothing_is_built_at_import(self):
         code = ("import innerclt, innerclt.cli; from innerclt import quadrature; "
-                "assert quadrature._NEW_NODES == {}, sorted(quadrature._NEW_NODES)")
+                "assert quadrature._NEW_NODES == {}, sorted(quadrature._NEW_NODES); "
+                "assert quadrature._GRIDS == {}, sorted(quadrature._GRIDS)")
         subprocess.run([sys.executable, "-c", code], check=True,
                        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
 
