@@ -250,12 +250,6 @@ class BlaschkeProduct:
 
     # -- serialization ------------------------------------------------------
 
-    def to_dict(self) -> dict:
-        return {
-            "zeros": [[a.real, a.imag] for a in self.zeros],
-            "rotation": [self.rotation.real, self.rotation.imag],
-        }
-
     @classmethod
     def from_dict(cls, data: dict) -> "BlaschkeProduct":
         zeros = tuple(_complex_pair(pair, "zero") for pair in data["zeros"])

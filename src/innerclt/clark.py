@@ -22,6 +22,7 @@ always solves afresh, and a failed solve leaves it as it was.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -265,6 +266,9 @@ def desintegrate(f: BlaschkeProduct, observable, k_alpha: int = 512, power: int 
     Returns (double integral value, residual against int observable dm),
     realizing m = int mu_alpha dm(alpha).
     """
+    # a fractional count would space the alphas unevenly, and bool is an int
+    if isinstance(k_alpha, bool) or not isinstance(k_alpha, numbers.Integral):
+        raise ValueError(f"k_alpha must be an integer, got {k_alpha!r}")
     if k_alpha < 64:
         raise ValueError("k_alpha must be >= 64")
     alphas = TWO_PI * np.arange(k_alpha) / k_alpha

@@ -81,17 +81,18 @@ class GaussFitReport:
         }
 
 
-def _sample(f: BlaschkeProduct, coeffs: np.ndarray, M: int, seed: int,
+def _sample(f: BlaschkeProduct, coeffs: np.ndarray, out: np.ndarray, seed: int,
             scale: float, start_power: int = 1) -> np.ndarray:
-    """_accumulate / scale at the M counter-seeded uniform angles of seed.
+    """_accumulate / scale at the len(out) counter-seeded uniform angles of
+    seed, written into out.
 
     The samples are computed BLOCK (quadrature's block, 8192 points) at a
-    time into one preallocated array, so an orbit step's working set is a
+    time into the preallocated out, so an orbit step's working set is a
     few 128 KiB complex arrays whatever M is.  Sample i depends only on
     (seed, i) and the orbit step is pointwise bit for bit, so the values do
     not depend on BLOCK.  The array is returned read-only.
     """
-    out = np.empty(M, dtype=complex)
+    M = len(out)
     for lo in range(0, M, BLOCK):
         hi = min(lo + BLOCK, M)
         z = np.exp(1j * uniform_angles(seed, hi - lo, start=lo))
@@ -133,16 +134,20 @@ def simulate(f: BlaschkeProduct, a: CoefficientSequence, N: int, M: int,
     storage must stay below TRUNCATION_TOL times the stored tail mass.
     Every check raises before the first orbit step.
     """
-    coeffs, scale, start_power = _sampling_plan(f, a, N, M, mode)
-    return _sample(f, coeffs, M, seed, scale, start_power)
+    coeffs, out, scale, start_power = _sampling_plan(f, a, N, M, mode)
+    return _sample(f, coeffs, out, seed, scale, start_power)
 
 
 def _sampling_plan(f: BlaschkeProduct, a: CoefficientSequence, N: int, M: int,
                    mode: str) -> tuple:
-    """(coefficients, scale, start power) of a `simulate` run: every check
-    that simulate makes, and no orbit step."""
+    """(coefficients, empty samples array, scale, start power) of a
+    `simulate` run: every check that simulate makes, and no orbit step."""
     if M < 1000:
         raise ValueError("need M >= 1000")
+    try:
+        out = np.empty(M, dtype=complex)
+    except (MemoryError, ValueError) as exc:  # more than numpy can allocate or index
+        raise ValueError(f"cannot hold M = {M} samples: {exc}") from None
     lam = f.taylor_at_zero().c1
     if mode == "tail":
         if not 2 <= N <= len(a) - 1:
@@ -156,7 +161,7 @@ def _sampling_plan(f: BlaschkeProduct, a: CoefficientSequence, N: int, M: int,
             raise HeavyTruncation(
                 f"estimated truncated mass {est:.3e} exceeds "
                 f"{TRUNCATION_TOL:g} * tail mass {tail_mass:.3e}")
-        return a.array()[N - 1:], math.sqrt(2.0 * tail_sigma_squared(a, lam, N)), N
+        return a.array()[N - 1:], out, math.sqrt(2.0 * tail_sigma_squared(a, lam, N)), N
     if not 1 <= N <= len(a):
         raise ValueError("need 1 <= N <= stored coefficient length")
     sigma2 = sigma_N_squared(a, lam, N)
@@ -168,7 +173,7 @@ def _sampling_plan(f: BlaschkeProduct, a: CoefficientSequence, N: int, M: int,
         scale = math.sqrt(2.0 * N * asymptotic_sigma_squared(lam))
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    return a.array(N), scale, 1
+    return a.array(N), out, scale, 1
 
 
 def _ks_normal(x: np.ndarray, sd: float) -> float:

@@ -7,6 +7,7 @@ uniforms for sampling points on the circle.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -40,12 +41,8 @@ class InvarianceCheck:
 
 def circle_grid(n: int) -> np.ndarray:
     """n equispaced points e^{2 pi i k / n}."""
-    return _nodes(np.arange(n), n)
-
-
-def _nodes(k: np.ndarray, n: int) -> np.ndarray:
     # elementwise, so a node's bits do not depend on which k share the call
-    return np.exp(1j * TWO_PI * k / n)
+    return np.exp(1j * TWO_PI * np.arange(n) / n)
 
 
 def next_power_of_two(n: int) -> int:
@@ -57,54 +54,25 @@ def degree_aware_grid(degree: int) -> int:
     return min(DEFAULT_MAX_GRID, max(DEFAULT_MIN_GRID, next_power_of_two(8 * degree)))
 
 
-# The nodes that level n adds to level n // 2: circle_grid(n)[1::2], and the
-# node 1 for n = 1.  Each level is computed the first time an integral needs
-# it and is then shared, read-only, by every later integral of the process;
-# its contents depend on n alone, so no caller can see another's use.  All
-# levels up to the cap hold DEFAULT_MAX_GRID nodes (4 MiB).  A node keeps its
-# bits from level to level: TWO_PI * 2k / 2n only scales both operands of
-# the division by 2, which is exact.
-_NEW_NODES: dict = {}
-
-
-def _new_nodes(n: int) -> np.ndarray:
-    nodes = _NEW_NODES.get(n)
-    if nodes is None:
-        nodes = _nodes(np.arange(n > 1, n, 2), n)
-        nodes.flags.writeable = False
-        # a view of a read-only array cannot be made writeable again
-        nodes = _NEW_NODES[n] = nodes.view()
-    return nodes
-
-
-# The grids of up to BLOCK nodes that a first pass has covered, kept as
-# _NEW_NODES keeps its levels: at most 2 * BLOCK nodes (256 KiB).
-_GRIDS: dict = {}
-
-
+@functools.cache
 def _grid(n: int) -> np.ndarray:
-    """circle_grid(n) for a power of two n, bit for bit, from the node table;
-    read-only and kept for n <= BLOCK."""
-    out = _GRIDS.get(n)
-    if out is not None:
-        return out
-    out = np.empty(n, dtype=complex)
-    out[0] = _new_nodes(1)[0]
-    m = 2
-    while m <= n:
-        out[n // m::2 * n // m] = _new_nodes(m)
-        m *= 2
-    if n <= BLOCK:
-        out.flags.writeable = False
-        out = _GRIDS[n] = out.view()
-    return out
+    """circle_grid(n), computed the first time an integral needs it and then
+    shared, read-only, by every later integral of the process; its contents
+    depend on n alone, so no caller can see another's use.  The grids up to
+    the cap hold 2 * DEFAULT_MAX_GRID nodes (8 MiB).  A node keeps its bits
+    from grid to grid: TWO_PI * 2k / 2n only scales both operands of the
+    division by 2, which is exact, so _grid(n)[0::2] has the bits of
+    _grid(n // 2) and _grid(n)[1::2] are the nodes that level n adds."""
+    grid = circle_grid(n)
+    grid.flags.writeable = False
+    return grid.view()  # a view of a read-only array cannot be made writeable again
 
 
 def _level(g, nodes: np.ndarray, prev: np.ndarray | None = None) -> np.ndarray:
     """g at nodes, BLOCK nodes per call, interleaved with prev if given.
 
     Each block is a fresh copy, so an integrand that writes into its argument
-    cannot change the node table.  Without prev, a float64 or complex128
+    cannot change a cached grid.  Without prev, a float64 or complex128
     array that g returns for all the nodes at once is the level itself, not
     a copy; levels are only read after they are made, so g must not write
     into an array it has returned.  With prev, the values of the previous
@@ -152,14 +120,14 @@ def integrate(g, tol: float = 1e-12, degree: int = 0) -> QuadratureResult:
     points e^{2 pi i k / n}, k odd, and their values are interleaved with
     the previous level's.  Each integral thus evaluates g at grid_size
     points in total, at most BLOCK points per call, so the temporaries of g
-    stay in cache.  The nodes come from a node table that computes each
-    level once per process and holds at most DEFAULT_MAX_GRID nodes
-    (4 MiB); g gets a fresh copy of each block.  The estimated error is the
-    difference between the last two refinement levels; since the integrands
-    here are analytic in an annulus, convergence is geometric and the
-    estimate is conservative.  A non-finite value of g stays in every later
-    level's mean, so a level that holds one raises NonConvergence at once,
-    and so does a level whose finite values overflow its mean.
+    stay in cache.  The nodes come from _grid, which computes each grid
+    once per process; g gets a fresh copy of each block.  The estimated
+    error is the difference between the last two refinement levels; since
+    the integrands here are analytic in an annulus, convergence is
+    geometric and the estimate is conservative.  A non-finite value of g
+    stays in every later level's mean, so a level that holds one raises
+    NonConvergence at once, and so does a level whose finite values
+    overflow its mean.
     """
     if not tol >= 1e-14:
         raise ValueError("tol must be >= 1e-14")
@@ -184,7 +152,7 @@ def integrate(g, tol: float = 1e-12, degree: int = 0) -> QuadratureResult:
                 value=value, est_error=delta, grid_size=grid,
             )
         grid *= 2
-        vals = _level(g, _new_nodes(grid), vals)
+        vals = _level(g, _grid(grid)[1::2], vals)
         prev, value = value, _mean(vals)
 
 

@@ -183,6 +183,7 @@ def toeplitz_symbol_range(lam: complex):
     The grid is rotated so that the extremal points +-lam/|lam| are grid
     points; the extremes then match 1/C and C to rounding.
     """
+    _check_lambda(lam)
     if lam == 0:
         return 1.0, 1.0
     phase = lam / abs(lam)

@@ -487,6 +487,18 @@ class TestDesintegration:
         with pytest.raises(ValueError):
             desintegrate(DEG2_HALF, lambda z: z, k_alpha=8)
 
+    @pytest.mark.parametrize("k_alpha", [64.5, 64.0, math.inf, True])
+    def test_rejects_a_count_that_is_not_an_integer(self, stepped, k_alpha):
+        # 64.5 took 65 unevenly spaced alphas, with a residual of 1.9e-3
+        with pytest.raises(ValueError, match="k_alpha must be an integer"):
+            desintegrate(DEG2_HALF, lambda z: z, k_alpha=k_alpha)
+        assert stepped == []
+
+    def test_numpy_integer_count_is_that_count(self):
+        observable = lambda z: np.real(z) ** 2 + z ** 3
+        assert desintegrate(DEG2_HALF, observable, k_alpha=np.int64(64)) == \
+            desintegrate(DEG2_HALF, observable, k_alpha=64)
+
 
 class TestTaylorMoments:
     """The Clark moments of f^n are rows of `taylor_table(f, n, l)`."""

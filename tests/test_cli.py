@@ -285,6 +285,11 @@ class TestSimulateCommand:
         (None, {"samples": 2000},
          f"clt simulate: KS statistics need >= {KS_MIN_SAMPLES} samples, got 2000"),
         (None, {"map": {"zeros": [[0.0, 0.0]]}}, "clt simulate: need |lambda| < 1"),
+        # more samples than numpy can allocate, and more than it can index
+        (None, {"samples": 10 ** 15},
+         "clt simulate: cannot hold M = 1000000000000000 samples: Unable to allocate"),
+        (None, {"samples": 10 ** 20}, "clt simulate: cannot hold M = 100000000000000000000 "
+                                      "samples: Maximum allowed dimension exceeded"),
         (None, {"mode": "tail", "N": 3, "coefficients": {"kind": "ones", "length": 8}},
          "clt simulate: estimated truncated mass inf exceeds")])
     def test_malformed_config_is_a_usage_error(self, tmp_path, capsys, stepped,
@@ -345,6 +350,8 @@ class TestSimulateCommand:
         {"tolerances": [1, 2]},       # a malformed config
         {"mode": "bogus"},            # a value that simulate rejects
         {"samples": 2000},            # too few samples for the report
+        {"samples": 10 ** 15},        # more samples than numpy can allocate
+        {"samples": 10 ** 20},        # more samples than numpy can index
     ])
     def test_usage_error_creates_no_directory(self, tmp_path, capsys, overrides):
         out_dir = tmp_path / "o1" / "deep" / "x"

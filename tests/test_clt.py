@@ -89,6 +89,14 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate(monomial(2), ONES, 8, 2000, seed=0, mode="weird")
 
+    @pytest.mark.parametrize("mode", ["main", "tail"])
+    @pytest.mark.parametrize("M", [10 ** 15, 10 ** 20])
+    def test_unallocatable_sample_count_raises_before_sampling(self, stepped, M, mode):
+        # numpy raises MemoryError for 10^15 complex samples, ValueError for 10^20
+        with pytest.raises(ValueError, match=f"^cannot hold M = {M} samples: "):
+            simulate(monomial(2), ONES, 8, M, seed=0, mode=mode)
+        assert stepped == []
+
     @pytest.mark.parametrize("mode", ["main", "corollary"])
     def test_zero_coefficients_raise(self, mode):
         # in main mode sigma_N^2 = 0 would make every sample 0/0 = NaN

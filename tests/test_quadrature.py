@@ -317,52 +317,60 @@ class TestNestedDoubling:
         assert res.grid_size == grid
 
     @staticmethod
-    def cold_table(monkeypatch):
-        """An empty node table and grid memo, as in a fresh process, and the
-        sizes of the node sets that _nodes then computes."""
+    def cold_grids(monkeypatch):
+        """An empty grid cache, as in a fresh process, and the sizes of the
+        grids that circle_grid then computes for it."""
         computed = []
-        nodes = quadrature._nodes
+        circle = quadrature.circle_grid
 
-        def spy(k, n):
-            computed.append(len(k))
-            return nodes(k, n)
-        monkeypatch.setattr(quadrature, "_NEW_NODES", {})
-        monkeypatch.setattr(quadrature, "_GRIDS", {})
-        monkeypatch.setattr(quadrature, "_nodes", spy)
+        def spy(n):
+            computed.append(n)
+            return circle(n)
+        quadrature._grid.cache_clear()
+        monkeypatch.setattr(quadrature, "circle_grid", spy)
         return computed
 
-    def test_table_grown_to_2_17_serves_a_later_small_integral(self, monkeypatch):
-        computed = self.cold_table(monkeypatch)
+    def test_a_later_integral_builds_only_the_sizes_not_yet_cached(self, monkeypatch):
+        computed = self.cold_grids(monkeypatch)
         # a constant converges at the first doubling: one pass over 2^17
         g, seen = recording(lambda z: z ** 0)
         assert integrate(g, degree=2 ** 13).grid_size == 2 ** 17
         assert [len(z) for z in seen] == [BLOCK] * (2 ** 17 // BLOCK)
-        assert sum(computed) == 2 ** 17
+        assert computed == [2 ** 17]
         g, seen = recording(NESTED_CASES["poisson_slow"][0])
         res = integrate(g)
-        assert sum(computed) == 2 ** 17  # every node came from the table
         # each pass is one block here, and each block its slice of the grid:
         # circle_grid(2^9), then the odd half of each doubled grid
         assert 2 ** 10 < res.grid_size <= BLOCK
+        assert computed == [2 ** 17] + [2 ** k for k in range(9, res.grid_size.bit_length())]
         assert same_bits(seen[0], circle_grid(2 ** 9))
         for k, z in enumerate(seen[1:], start=2):
             assert same_bits(z, circle_grid(2 ** (8 + k))[1::2])
         assert sum(len(z) for z in seen) == res.grid_size
+        # a finer integral builds the sizes past those, and only them
+        built = len(computed)
+        with pytest.raises(NonConvergence) as err:
+            integrate(cusp, tol=1e-13, degree=2 ** 12)
+        assert err.value.grid_size == DEFAULT_MAX_GRID
+        assert computed[built:] == [2 ** 16, 2 ** 18]
 
-    def test_each_node_is_computed_once_per_process(self, monkeypatch):
-        computed = self.cold_table(monkeypatch)
+    def test_each_grid_is_computed_once_per_process(self, monkeypatch):
+        computed = self.cold_grids(monkeypatch)
         for g, kwargs in (NESTED_CASES["poisson"], NESTED_CASES["four_factor"],
                           NESTED_CASES["poisson"], NESTED_CASES["constant"]):
             integrate(g, **kwargs)
-        finest = max(quadrature._NEW_NODES)
-        assert finest >= 2 ** 12 and sum(computed) == finest
-        for n in quadrature._NEW_NODES:
+        assert max(computed) >= 2 ** 12 and len(set(computed)) == len(computed)
+        built = list(computed)
+        assert quadrature._grid.cache_info().currsize == len(built)
+        for n in built:
             assert same_bits(quadrature._grid(n), circle_grid(n))
+        assert computed == built  # served from the cache
 
-    def test_integrand_writing_into_its_points_changes_no_later_integral(self):
-        # first passes over 512 and BLOCK nodes (one block each, from a kept
-        # grid) and over 2 * BLOCK nodes (two blocks); an integrand that
-        # returns a constant, and one that returns the points it wrote
+    def test_integrand_writing_into_its_points_changes_no_later_integral(self, monkeypatch):
+        # first passes over 512 and BLOCK nodes (one block each) and over
+        # 2 * BLOCK nodes (two blocks), all from a cached grid; an integrand
+        # that returns a constant, and one that returns the points it wrote
+        computed = self.cold_grids(monkeypatch)
         g = NESTED_CASES["four_factor"][0]
         for degree, returns in itertools.product((0, 512, 1024), ("constant", "points")):
             before = integrate(g, tol=1e-11, degree=degree)
@@ -380,24 +388,24 @@ class TestNestedDoubling:
             assert after.value.real.hex() == before.value.real.hex()
             assert after.value.imag.hex() == before.value.imag.hex()
             assert after == before
-            assert (2 * degree_aware_grid(degree) in quadrature._GRIDS) == (degree < 1024)
-            for n in {**quadrature._NEW_NODES, **quadrature._GRIDS}:
+            assert 2 * degree_aware_grid(degree) in computed
+            for n in computed:
                 assert same_bits(quadrature._grid(n), circle_grid(n))
 
-    def test_kept_grids_are_read_only_and_have_circle_grid_bits(self, monkeypatch):
-        computed = self.cold_table(monkeypatch)
-        # first passes over 2^9 .. 2^14 nodes; only those of at most BLOCK are kept
+    def test_cached_grids_are_read_only_and_have_circle_grid_bits(self, monkeypatch):
+        computed = self.cold_grids(monkeypatch)
+        # first passes over 2^9 .. 2^14 nodes, below and above BLOCK
         for degree in (0, 64, 128, 256, 512, 1024):
             integrate(lambda z: z ** 0, degree=degree)
-        assert sorted(quadrature._GRIDS) == [2 ** k for k in range(9, 14)]
-        assert 2 * BLOCK == 2 ** 14 and sum(computed) == 2 ** 14
-        for n, grid in quadrature._GRIDS.items():
+        assert computed == [2 ** k for k in range(9, 15)] and 2 * BLOCK == 2 ** 14
+        for n in computed:
+            grid = quadrature._grid(n)
+            assert not grid.flags.writeable
             with pytest.raises(ValueError):
                 grid.flags.writeable = True
             assert quadrature._grid(n) is grid
             assert same_bits(grid, circle_grid(n))
-        assert quadrature._grid(2 * BLOCK) is not quadrature._grid(2 * BLOCK)
-        assert same_bits(quadrature._grid(2 * BLOCK), circle_grid(2 * BLOCK))
+        assert computed == [2 ** k for k in range(9, 15)]
 
     # what g returns on a one-block first pass, and the dtype of its level:
     # a float64 or complex128 array of the block's shape is the level itself,
@@ -454,8 +462,7 @@ class TestNestedDoubling:
 
     def test_nothing_is_built_at_import(self):
         code = ("import innerclt, innerclt.cli; from innerclt import quadrature; "
-                "assert quadrature._NEW_NODES == {}, sorted(quadrature._NEW_NODES); "
-                "assert quadrature._GRIDS == {}, sorted(quadrature._GRIDS)")
+                "info = quadrature._grid.cache_info(); assert info.currsize == 0, info")
         subprocess.run([sys.executable, "-c", code], check=True,
                        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
 
@@ -494,14 +501,12 @@ class TestNestedDoubling:
                 assert got.real.hex() == want.real.hex(), n
                 assert got.imag.hex() == want.imag.hex(), n
 
-    def test_node_table_cannot_be_made_writeable(self):
-        integrate(NESTED_CASES["poisson_slow"][0])
-        assert quadrature._NEW_NODES
-        for nodes in quadrature._NEW_NODES.values():
-            with pytest.raises(ValueError):
-                nodes.flags.writeable = True
-        for n in quadrature._NEW_NODES:
-            assert same_bits(quadrature._grid(n), circle_grid(n))
+    def test_odd_half_has_the_bits_of_the_new_nodes_formula(self):
+        # the nodes that level n adds to level n // 2, computed on their own
+        for n in (2 ** k for k in range(1, 19)):
+            odd = quadrature._grid(n)[1::2]
+            assert same_bits(odd, np.exp(1j * TWO_PI * np.arange(1, n, 2) / n)), n
+            assert same_bits(quadrature._grid(n)[0::2], quadrature._grid(n // 2)), n
 
 
 class TestGridHelpers:

@@ -269,7 +269,8 @@ def test_variance_kernel_bits_are_pinned(lam, N):
     lambda a, lam: toeplitz_sandwich(a, lam, 10),
     lambda a, lam: split_plan(a, 10, lam=lam),
     lambda a, lam: asymptotic_sigma_squared(lam),
-], ids=["sigma", "tail", "sandwich", "split", "asymptotic"])
+    lambda a, lam: toeplitz_symbol_range(lam),
+], ids=["sigma", "tail", "sandwich", "split", "asymptotic", "symbol"])
 def test_nan_lambda_is_rejected(call, lam):
     with pytest.raises(ValueError, match=r"need \|lambda\| < 1"):
         call(CoefficientSequence.ones(10), lam)
@@ -315,6 +316,12 @@ class TestToeplitzSandwich:
         lo, hi = toeplitz_symbol_range(lam)
         assert abs(lo - 1.0 / 3.0) < 1e-9
         assert abs(hi - 3.0) < 1e-9
+
+    @pytest.mark.parametrize("lam", [1.0, -1.0, 1.5, 1j, 0.6 + 0.8j])
+    def test_symbol_range_rejects_lambda_off_the_disc(self, lam):
+        # 1.5 read (-5.0, -0.2), a symbol that is negative and not a sandwich
+        with pytest.raises(ValueError, match=r"need \|lambda\| < 1"):
+            toeplitz_symbol_range(lam)
 
     def test_zero_lambda_collapses(self):
         a = CoefficientSequence.ones(10)
